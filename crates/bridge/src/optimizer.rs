@@ -28,30 +28,24 @@
 //!   *best* costs). `Fn_sum` remains the external it is in R7/R8.
 //! - **D9–D10 ≙ R9–R10** (plan selection), verbatim: a grouped `min<>`
 //!   aggregate and the join back onto `PlanCost`.
-//! - **B1–B5 ≙ r1–r4** (recursive bounding, Figure 3): the bound rules
-//!   over the same 4-ary `LocalCost`. r1/r2 split into per-child rules
-//!   (B1/B2 for two-child alternatives, B3 for one-child — the `null`
-//!   child slot fails the `BestCost` join exactly as in D6–D8), B4 is
-//!   r3's `max<>` aggregate and B5 is r4's scalar `min<a,b>` combine.
-//!   `Bound` is a seeded derived relation: the driver maintains the
-//!   root seed `Bound(root) = BestCost(root)` across epochs.
 //!
 //! ## Pruning (§3.3)
 //!
-//! Pruning authority lives in the driver: a deterministic DP mirror of
-//! B1–B5 over the `LocalCost` mirror computes every group's exact best
-//! cost bottom-up and its bound top-down, and every alternative whose
-//! total exceeds its group's bound — except each group's argmin, which
-//! keeps `BestCost`/`BestPlan` exact — is *excluded from the network's
-//! `LocalCost` relation*. `SearchSpace` stays complete (enumeration is
-//! not pruned, only costing), so the declarative engine skips the cost
-//! propagation for hopeless alternatives exactly like the hand-rolled
-//! pruned engine. On every reoptimize the driver recomputes the prune
-//! set from the post-delta mirror and feeds the network the difference,
-//! so a pruned alternative that becomes viable is re-costed and a newly
-//! hopeless one is retracted. The in-network B1–B5 derivations are the
-//! *parity diagnostic*: on an unpruned network the materialized `Bound`
-//! sink must equal the driver's DP (pinned by tests).
+//! The driver is the one pruning authority. `BoundDp` evaluates the
+//! paper's recursive-bounding rules r1–r4 as a deterministic DP over the
+//! `LocalCost` mirror: every group's exact best cost bottom-up, then its
+//! bound top-down. Every alternative whose total exceeds its group's
+//! bound — except each group's argmin, which keeps `BestCost`/`BestPlan`
+//! exact — is *excluded from the network's `LocalCost` relation*.
+//! `SearchSpace` stays complete (enumeration is not pruned, only
+//! costing), so the declarative engine skips the cost propagation for
+//! hopeless alternatives exactly like the hand-rolled pruned engine. On
+//! every reoptimize the driver recomputes the prune set from the
+//! post-delta mirror and feeds the network the difference, so a pruned
+//! alternative that becomes viable is re-costed and a newly hopeless one
+//! is retracted. The network holds no bound state of its own; r1–r4 as
+//! written still compile and run on the substrate (pinned by
+//! `compile.rs`'s `paper_bound_rules_execute_on_the_substrate`).
 //!
 //! Column encoding: `expr` packs an [`ExprId`] (`rel` bits and the `agg`
 //! flag) into an `Int`; `prop` is a dense index into the query's
@@ -77,7 +71,7 @@ use crate::durable;
 
 /// The executable elaboration of the paper's rule program (see the
 /// module docs for the R→D mapping).
-pub const DATAFLOW_RULES: [&str; 13] = [
+pub const DATAFLOW_RULES: [&str; 8] = [
     "D1: SearchSpace(expr,prop,index,logOp,phyOp,lExpr,lProp,rExpr,rProp) :- \
      Expr(expr,prop), Fn_split(expr,prop,index,logOp,phyOp,lExpr,lProp,rExpr,rProp);",
     "D2: SearchSpace(expr,prop,index,logOp,phyOp,lExpr,lProp,rExpr,rProp) :- \
@@ -109,18 +103,6 @@ pub const DATAFLOW_RULES: [&str; 13] = [
     "D9: BestCost(expr,prop,min<cost>) :- PlanCost(expr,prop,index,cost);",
     "D10: BestPlan(expr,prop,index,cost) :- \
      BestCost(expr,prop,cost), PlanCost(expr,prop,index,cost);",
-    "B1: ParentBound(lExpr,lProp,bound-rCost-localCost) :- \
-     Bound(expr,prop,bound), SearchSpace(expr,prop,index,-,-,lExpr,lProp,rExpr,rProp), \
-     LocalCost(expr,prop,index,localCost), BestCost(rExpr,rProp,rCost);",
-    "B2: ParentBound(rExpr,rProp,bound-lCost-localCost) :- \
-     Bound(expr,prop,bound), SearchSpace(expr,prop,index,-,-,lExpr,lProp,rExpr,rProp), \
-     LocalCost(expr,prop,index,localCost), BestCost(lExpr,lProp,lCost);",
-    "B3: ParentBound(lExpr,lProp,bound-localCost) :- \
-     Bound(expr,prop,bound), SearchSpace(expr,prop,index,-,-,lExpr,lProp,null,null), \
-     LocalCost(expr,prop,index,localCost);",
-    "B4: MaxBound(expr,prop,max<bound>) :- ParentBound(expr,prop,bound);",
-    "B5: Bound(expr,prop,min<minCost,maxBound>) :- \
-     BestCost(expr,prop,minCost), MaxBound(expr,prop,maxBound);",
 ];
 
 /// The executable program in IR form.
@@ -300,8 +282,9 @@ pub struct DataflowOptimizer {
     /// (or by [`DataflowOptimizer::recover`]). `None` keeps the optimizer
     /// purely in-memory, exactly as before.
     durable: Option<Durable>,
-    /// Driver-side pruning (the B1–B5 DP mirror; see module docs).
-    pruning: Pruning,
+    /// Alternatives the driver currently excludes from the network's
+    /// `LocalCost` relation (the [`BoundDp::prune_set`]; see module docs).
+    pruned: Vec<bool>,
     /// Cached [`topo_order`] of the (immutable) memo, reused by every
     /// per-epoch [`BoundDp::compute`].
     topo: Vec<GroupId>,
@@ -377,20 +360,10 @@ impl DirtyIndex {
     }
 }
 
-/// Driver-side pruning state: which alternatives are currently excluded
-/// from the network's `LocalCost` relation, and the `Bound(root)` seed
-/// value the network currently holds.
-struct Pruning {
-    enabled: bool,
-    pruned: Vec<bool>,
-    root_bound: Option<Cost>,
-}
-
-/// The DP mirror of rules B1–B5 (see the module docs): exact best cost
-/// per group bottom-up, bound per group top-down. With `mask`, masked
-/// alternatives contribute neither totals nor allowances — the state an
-/// already-pruned network computes, used by the parity diagnostic; the
-/// *pruning decision* always runs unmasked.
+/// The paper's recursive-bounding rules r1–r4 as a DP (see the module
+/// docs): exact best cost per group bottom-up, bound per group top-down,
+/// over *all* alternatives — so an alternative the network never costed
+/// still re-enters the moment a delta makes it viable.
 struct BoundDp {
     /// Total cost per alternative (`Fn_sum` association order, so the
     /// values agree bit-for-bit with the network's `PlanCost`).
@@ -399,7 +372,7 @@ struct BoundDp {
     best: Vec<Cost>,
     argmin: Vec<Option<AltId>>,
     /// `min(best, max over parent allowances)`; the root's is its best.
-    /// `None` for a group no unmasked parent alternative bounds.
+    /// `None` for a group no parent alternative bounds.
     bound: Vec<Option<Cost>>,
 }
 
@@ -440,9 +413,8 @@ fn topo_order(memo: &Memo) -> Vec<GroupId> {
 impl BoundDp {
     /// `order` must be [`topo_order`] of the same memo (postorder:
     /// children before parents; its reverse visits parents first).
-    fn compute(memo: &Memo, local: &[Cost], mask: Option<&[bool]>, order: &[GroupId]) -> BoundDp {
+    fn compute(memo: &Memo, local: &[Cost], order: &[GroupId]) -> BoundDp {
         let n_groups = memo.n_groups();
-        let masked = |a: AltId| mask.is_some_and(|m| m[a.0 as usize]);
         let mut dp = BoundDp {
             alt_cost: vec![Cost::INFINITY; memo.n_alts()],
             best: vec![Cost::INFINITY; n_groups],
@@ -451,9 +423,6 @@ impl BoundDp {
         };
         for &g in order {
             for a in memo.alts_of(g) {
-                if masked(a) {
-                    continue;
-                }
                 let alt = memo.alt(a);
                 // Fn_sum's association order: local, then left, right.
                 let mut c = local[a.0 as usize];
@@ -481,31 +450,29 @@ impl BoundDp {
         for &g in order.iter().rev() {
             let gi = g.0 as usize;
             dp.bound[gi] = if g == memo.root {
-                // The seeded `Bound(root)`: never settle for worse than
-                // the best plan already known.
+                // The root's bound: never settle for worse than the best
+                // plan already known.
                 Some(dp.best[gi])
             } else {
-                // B5: min(minCost, maxBound); ties keep the first
+                // r4: min(minCost, maxBound); ties keep the first
                 // argument, matching the scalar combine.
                 max_bound[gi].map(|mb| if mb < dp.best[gi] { mb } else { dp.best[gi] })
             };
             let Some(b) = dp.bound[gi] else { continue };
             for a in memo.alts_of(g) {
-                if masked(a) {
-                    continue;
-                }
                 let alt = memo.alt(a);
                 let local_cost = local[a.0 as usize];
                 match (alt.left, alt.right) {
                     (Some(l), Some(r)) => {
-                        // B1/B2 subtraction chains, in rule order.
+                        // r1/r2 subtraction chains, in rule order.
                         let al = b - dp.best[r.0 as usize] - local_cost;
                         relax(&mut max_bound[l.0 as usize], al);
                         let ar = b - dp.best[l.0 as usize] - local_cost;
                         relax(&mut max_bound[r.0 as usize], ar);
                     }
                     (Some(l), None) => {
-                        // B3: the single child gets the full remainder.
+                        // r1 for a one-child alternative: the child gets
+                        // the full remainder.
                         relax(&mut max_bound[l.0 as usize], b - local_cost);
                     }
                     _ => {}
@@ -537,13 +504,6 @@ impl BoundDp {
 
 impl DataflowOptimizer {
     pub fn new(catalog: &Catalog, q: QuerySpec) -> DataflowOptimizer {
-        DataflowOptimizer::with_pruning(catalog, q, true)
-    }
-
-    /// Builds the optimizer with driver-side pruning on or off. Pruning
-    /// is on by default; the unpruned build is the reference for the
-    /// pruning differential and the `Bound` parity diagnostic.
-    pub fn with_pruning(catalog: &Catalog, q: QuerySpec, pruning: bool) -> DataflowOptimizer {
         let graph = JoinGraph::new(&q);
         let memo = Rc::new(Memo::build(&q, &graph));
         let ctx = CostContext::new(catalog, &q);
@@ -552,11 +512,7 @@ impl DataflowOptimizer {
         let local = vec![Cost::INFINITY; memo.n_alts()];
         let dirty_index = DirtyIndex::build(&memo, &ctx, &q);
         let topo = topo_order(&memo);
-        let pruning = Pruning {
-            enabled: pruning,
-            pruned: vec![false; memo.n_alts()],
-            root_bound: None,
-        };
+        let pruned = vec![false; memo.n_alts()];
         DataflowOptimizer {
             q,
             memo,
@@ -571,7 +527,7 @@ impl DataflowOptimizer {
             audit: AuditMode::from_env(),
             epochs_seen: 0,
             durable: None,
-            pruning,
+            pruned,
             topo,
         }
     }
@@ -600,14 +556,7 @@ impl DataflowOptimizer {
                     self.local[a.0 as usize] = self.ctx.local_cost(&self.q, expr, prop, &spec);
                 }
             }
-            // One DP pass gives both the prune set (pruned builds) and
-            // the `Bound(root)` seed (diagnostic builds; see
-            // `seed_network` for why the seed is gated).
-            let dp = BoundDp::compute(&self.memo, &self.local, None, &self.topo);
-            if self.pruning.enabled {
-                self.pruning.pruned = dp.prune_set(&self.memo);
-            }
-            self.pruning.root_bound = dp.bound[self.memo.root.0 as usize];
+            self.pruned = self.prune_set();
             self.seed_network();
         }
         let (stats, recovery) = self.run_recovering();
@@ -668,8 +617,8 @@ impl DataflowOptimizer {
             old_values.insert(a, old);
         }
         // All network deltas — value updates, prune retractions and
-        // re-assertions, and the root Bound seed — flow through one
-        // diffing pass so the network always mirrors the driver state.
+        // re-assertions — flow through one diffing pass so the network
+        // always mirrors the driver state.
         self.push_pruned_diff(&old_values);
         let (stats, mut recovery) = self.run_recovering();
         if let Some(e) = wal_error {
@@ -733,9 +682,8 @@ impl DataflowOptimizer {
             .expect("a fresh fault-free network converges")
     }
 
-    /// Seeds a freshly built network: the root `Expr` demand, the
-    /// unpruned slice of the `LocalCost` relation from the mirror, and
-    /// the `Bound(root)` seed when pruning is armed.
+    /// Seeds a freshly built network: the root `Expr` demand and the
+    /// unpruned slice of the `LocalCost` relation from the mirror.
     fn seed_network(&mut self) {
         let root = self.memo.group(self.memo.root);
         self.net.insert(
@@ -749,45 +697,21 @@ impl DataflowOptimizer {
                 (d.expr, d.prop)
             };
             for a in self.memo.alts_of(g) {
-                if self.pruning.pruned[a.0 as usize] {
+                if self.pruned[a.0 as usize] {
                     continue;
                 }
                 let t = self.local_tuple(expr, prop, a, self.local[a.0 as usize]);
                 self.net.insert("LocalCost", t);
             }
         }
-        // The `Bound(root)` seed is planted only on unpruned builds,
-        // where it drives the in-network B1–B5 derivation that the
-        // parity diagnostic checks against the driver DP. On pruned
-        // builds the driver DP is the pruning authority (it already
-        // excluded the pruned `LocalCost` rows above) and the seed is
-        // withheld: a maintained in-network bound would re-derive the
-        // whole `Bound` relation every epoch — the root's best cost
-        // moves on almost every update — turning each incremental
-        // epoch into a full bound cascade for no additional pruning.
-        if !self.pruning.enabled {
-            if let Some(b) = self.pruning.root_bound {
-                let t = self.bound_tuple(root.expr, root.prop, b);
-                self.net.insert("Bound", t);
-            }
-        }
     }
 
     /// Recomputes the prune set from the post-delta mirror and feeds
     /// the network the difference: value updates for surviving
-    /// alternatives, retractions for newly pruned ones, assertions for
-    /// newly viable ones, and the root `Bound` seed update. The driver
-    /// is the pruning authority — the DP runs over *all* alternatives,
-    /// so an alternative the network never costed still re-enters the
-    /// moment a delta makes it viable.
+    /// alternatives, retractions for newly pruned ones, and assertions
+    /// for newly viable ones.
     fn push_pruned_diff(&mut self, old_values: &FxHashMap<AltId, Cost>) {
-        let dp = BoundDp::compute(&self.memo, &self.local, None, &self.topo);
-        let new_pruned = if self.pruning.enabled {
-            dp.prune_set(&self.memo)
-        } else {
-            vec![false; self.memo.n_alts()]
-        };
-        let new_root_bound = dp.bound[self.memo.root.0 as usize];
+        let new_pruned = self.prune_set();
         for gi in 0..self.memo.n_groups() as u32 {
             let g = GroupId(gi);
             let (expr, prop) = {
@@ -796,7 +720,7 @@ impl DataflowOptimizer {
             };
             for a in self.memo.alts_of(g) {
                 let i = a.0 as usize;
-                let was_in = !self.pruning.pruned[i];
+                let was_in = !self.pruned[i];
                 let now_in = !new_pruned[i];
                 let nv = self.local[i];
                 // What the network holds for a present row: the
@@ -822,20 +746,12 @@ impl DataflowOptimizer {
                 }
             }
         }
-        // Seed maintenance mirrors `seed_network`: unpruned builds only.
-        if !self.pruning.enabled && new_root_bound != self.pruning.root_bound {
-            let root = self.memo.group(self.memo.root);
-            if let Some(old) = self.pruning.root_bound {
-                let t = self.bound_tuple(root.expr, root.prop, old);
-                self.net.delete("Bound", t);
-            }
-            if let Some(new) = new_root_bound {
-                let t = self.bound_tuple(root.expr, root.prop, new);
-                self.net.insert("Bound", t);
-            }
-        }
-        self.pruning.pruned = new_pruned;
-        self.pruning.root_bound = new_root_bound;
+        self.pruned = new_pruned;
+    }
+
+    /// The driver's prune set for the current `LocalCost` mirror.
+    fn prune_set(&self) -> Vec<bool> {
+        BoundDp::compute(&self.memo, &self.local, &self.topo).prune_set(&self.memo)
     }
 
     /// Appends to the applied-delta log, keeping only the last write
@@ -879,7 +795,7 @@ impl DataflowOptimizer {
     ///    ([`IncrementalOptimizer::check_invariants`]) and agrees on
     ///    the best cost.
     fn audit_now(&mut self) -> Result<(), DataflowError> {
-        for name in ["SearchSpace", "BestCost", "BestPlan", "Bound"] {
+        for name in ["SearchSpace", "BestCost", "BestPlan"] {
             for (t, c) in self.net.sink(name).iter() {
                 if c < 0 {
                     return Err(DataflowError::InvariantViolation(format!(
@@ -912,22 +828,15 @@ impl DataflowOptimizer {
                 // The fresh network seeds the same prune set as the
                 // live one — the driver is the pruning authority, so
                 // an equal-state recompute excludes the same rows.
-                if !self.pruning.pruned[a.0 as usize] {
+                if !self.pruned[a.0 as usize] {
                     fresh.insert("LocalCost", self.local_tuple(expr, prop, a, c));
                 }
-            }
-        }
-        // Gated exactly like `seed_network`: the diagnostic seed exists
-        // only on unpruned builds, so the recompute must match.
-        if !self.pruning.enabled {
-            if let Some(b) = self.pruning.root_bound {
-                fresh.insert("Bound", self.bound_tuple(root.expr, root.prop, b));
             }
         }
         fresh.run().map_err(|e| {
             DataflowError::InvariantViolation(format!("audit: from-scratch recompute failed: {e}"))
         })?;
-        for name in ["SearchSpace", "BestCost", "BestPlan", "Bound"] {
+        for name in ["SearchSpace", "BestCost", "BestPlan"] {
             let live = counted(self.net.sink(name));
             let want = counted(fresh.sink(name));
             if live != want {
@@ -1049,17 +958,19 @@ impl DataflowOptimizer {
     /// Cuts a durable checkpoint of the committed optimizer state —
     /// applied-delta log, `LocalCost` mirror, the full network dataflow
     /// state (operator indexes, sinks, queue residue, symbol table) and
-    /// the WAL watermark — atomically (tmp + fsync + rename). Requires
-    /// [`DataflowOptimizer::set_durable_dir`].
+    /// the WAL watermark — atomically (tmp + fsync + rename). Without a
+    /// durable directory (see [`DataflowOptimizer::set_durable_dir`]) it
+    /// writes nothing and returns an [`std::io::ErrorKind::InvalidInput`]
+    /// error.
     pub fn checkpoint_durable(&mut self) -> std::io::Result<()> {
-        let dir = self
-            .durable
-            .as_ref()
-            .expect("set_durable_dir before checkpoint_durable")
-            .dir
-            .clone();
-        let bytes = self.snapshot_bytes();
-        reopt_datalog::checkpoint::write_atomic(&dir.join(durable::CHECKPOINT_FILE), &bytes)
+        let Some(d) = self.durable.as_ref() else {
+            return Err(std::io::Error::new(
+                std::io::ErrorKind::InvalidInput,
+                "checkpoint_durable needs a durable directory (set_durable_dir or recover)",
+            ));
+        };
+        let path = d.dir.join(durable::CHECKPOINT_FILE);
+        reopt_datalog::checkpoint::write_atomic(&path, &self.snapshot_bytes())
     }
 
     /// Serializes the optimizer snapshot: a record stream (shared
@@ -1176,11 +1087,7 @@ impl DataflowOptimizer {
         // The prune set is a deterministic function of the mirror, so
         // it is recomputed rather than persisted; it must equal what
         // the checkpointed instance excluded from the restored network.
-        let dp = BoundDp::compute(&self.memo, &self.local, None, &self.topo);
-        if self.pruning.enabled {
-            self.pruning.pruned = dp.prune_set(&self.memo);
-        }
-        self.pruning.root_bound = dp.bound[self.memo.root.0 as usize];
+        self.pruned = self.prune_set();
         Ok(watermark)
     }
 
@@ -1193,7 +1100,7 @@ impl DataflowOptimizer {
     /// `check_invariants` and agree on the best cost.
     fn post_restore_verify(&mut self) -> Result<(), DataflowError> {
         let bad = |msg: String| Err(DataflowError::StateCorruption(msg));
-        for name in ["SearchSpace", "BestCost", "BestPlan", "Bound"] {
+        for name in ["SearchSpace", "BestCost", "BestPlan"] {
             for (t, c) in self.net.sink(name).iter() {
                 if c < 0 {
                     return bad(format!(
@@ -1237,8 +1144,8 @@ impl DataflowOptimizer {
     /// 2. checkpoint torn / corrupt / failing verification → discard
     ///    it, optimize from scratch and replay the *whole* WAL →
     ///    [`RecoveryPath::RebuiltAfterCorruptCheckpoint`];
-    /// 3. no checkpoint but WAL content (crashed before the first
-    ///    checkpoint) → from-scratch plus full replay →
+    /// 3. no checkpoint but WAL content, a torn tail included (crashed
+    ///    before the first checkpoint) → from-scratch plus full replay →
     ///    [`RecoveryPath::RebuiltFromScratch`];
     /// 4. empty directory → a plain first boot →
     ///    [`RecoveryPath::Committed`].
@@ -1279,7 +1186,10 @@ impl DataflowOptimizer {
         };
         let ckpt_bytes = std::fs::read(dir.join(durable::CHECKPOINT_FILE)).ok();
         let had_checkpoint = ckpt_bytes.is_some();
-        let had_history = !wal_batches.is_empty() || !errors.is_empty();
+        // A torn tail is history too: even when it tore the only record,
+        // the directory saw appends, so this is no clean first boot.
+        let torn = matches!(wal_fix, Some((true, _)));
+        let had_history = !wal_batches.is_empty() || !errors.is_empty() || torn;
 
         let mut restored: Option<(DataflowOptimizer, RunStats)> = None;
         if let Some(bytes) = ckpt_bytes {
@@ -1366,10 +1276,6 @@ impl DataflowOptimizer {
         ])
     }
 
-    fn bound_tuple(&self, expr: ExprId, prop: PhysProp, b: Cost) -> Tuple {
-        Tuple::new(vec![encode_expr(expr), self.props.encode(prop), Val::Cost(b)])
-    }
-
     fn outcome(&self, stats: RunStats, recovery: RecoveryReport) -> DataflowOutcome {
         DataflowOutcome {
             cost: self.best_cost(),
@@ -1451,27 +1357,9 @@ impl DataflowOptimizer {
     }
 
     /// Alternatives currently excluded from the network's `LocalCost`
-    /// relation by driver-side pruning (diagnostics; 0 when pruning is
-    /// off).
+    /// relation by driver-side pruning (diagnostics).
     pub fn pruned_alternatives(&self) -> usize {
-        self.pruning.pruned.iter().filter(|&&p| p).count()
-    }
-
-    /// The driver's DP bounds per group, encoded exactly like the
-    /// network's `Bound` rows — the parity diagnostic compares this
-    /// against the materialized `Bound` sink on an unpruned build.
-    pub fn driver_bounds(&self) -> Vec<Tuple> {
-        let dp = BoundDp::compute(&self.memo, &self.local, None, &self.topo);
-        let mut rows = Vec::new();
-        for gi in 0..self.memo.n_groups() as u32 {
-            let g = GroupId(gi);
-            if let Some(b) = dp.bound[gi as usize] {
-                let d = self.memo.group(g);
-                rows.push(self.bound_tuple(d.expr, d.prop, b));
-            }
-        }
-        rows.sort();
-        rows
+        self.pruned.iter().filter(|&&p| p).count()
     }
 }
 
@@ -1525,9 +1413,6 @@ fn build_network(memo: Rc<Memo>, props: Rc<PropTable>) -> RuleNetwork {
     NetworkBuilder::new()
         .input("Expr", 2)
         .input("LocalCost", 4)
-        // Seeded derived relation: the driver maintains `Bound(root)`
-        // as a base fact; B5 derives the rest of the relation.
-        .input("Bound", 3)
         .rules(dataflow_program())
         // Fn_split(expr,prop | index,logOp,phyOp,lExpr,lProp,rExpr,rProp):
         // every alternative of the demanded (expr,prop) group, from the
@@ -1567,7 +1452,6 @@ fn build_network(memo: Rc<Memo>, props: Rc<PropTable>) -> RuleNetwork {
         .sink("SearchSpace")
         .sink("BestCost")
         .sink("BestPlan")
-        .sink("Bound")
         .build()
         .expect("the executable program compiles (pinned by tests)")
 }
@@ -1606,7 +1490,7 @@ mod tests {
 
     #[test]
     fn the_executable_program_parses_and_compiles() {
-        assert_eq!(dataflow_program().len(), 13);
+        assert_eq!(dataflow_program().len(), 8);
         let c = fixture_catalog();
         let opt = DataflowOptimizer::new(&c, chain_query(&c, 3));
         assert!(opt.network_nodes() > 10);
@@ -1939,12 +1823,12 @@ mod tests {
     }
 
     #[test]
-    fn pruned_and_unpruned_builds_agree_with_hand_rolled() {
+    fn pruned_build_agrees_with_hand_rolled() {
         // The pruning differential: driver-side pruning must be purely
-        // an optimization — costs stay exact against both the unpruned
-        // network and the hand-rolled engine across every fixture and a
-        // mixed update sequence (including a revert), while SearchSpace
-        // stays complete so Fn_split demand is unaffected.
+        // an optimization — costs stay exact against the unpruned
+        // hand-rolled engine across every fixture and a mixed update
+        // sequence (including a revert), while SearchSpace stays
+        // complete so Fn_split demand is unaffected.
         let c = fixture_catalog();
         let batches: Vec<Vec<ParamDelta>> = vec![
             vec![ParamDelta::EdgeSelectivity(EdgeId(0), 7.0)],
@@ -1955,20 +1839,14 @@ mod tests {
         let mut ever_pruned = 0usize;
         for q in fixture_queries() {
             let mut pruned = DataflowOptimizer::new(&c, q.clone());
-            let mut full = DataflowOptimizer::with_pruning(&c, q.clone(), false);
             let mut hand = IncrementalOptimizer::new(&c, q.clone(), PruningConfig::none());
-            let w = hand.optimize();
-            assert_agree(&pruned.optimize(), &w, &q.name);
-            assert_agree(&full.optimize(), &w, &format!("{} unpruned", q.name));
-            assert_eq!(full.pruned_alternatives(), 0, "{}", q.name);
+            assert_agree(&pruned.optimize(), &hand.optimize(), &q.name);
             assert_eq!(pruned.search_space_size(), pruned.memo().n_alts(), "{}", q.name);
             ever_pruned += pruned.pruned_alternatives();
             for batch in &batches {
                 let a = pruned.reoptimize(batch);
-                let b = full.reoptimize(batch);
                 let want = hand.reoptimize(batch);
                 assert_agree(&a, &want, &format!("{} pruned after {batch:?}", q.name));
-                assert_agree(&b, &want, &format!("{} unpruned after {batch:?}", q.name));
                 assert_eq!(
                     pruned.search_space_size(),
                     pruned.memo().n_alts(),
@@ -1981,30 +1859,93 @@ mod tests {
         assert!(ever_pruned > 0, "pruning never excluded an alternative");
     }
 
+    /// Alternatives holding a row in the materialized `BestPlan` view.
+    fn best_plan_alts(df: &DataflowOptimizer) -> Vec<AltId> {
+        df.sink("BestPlan")
+            .iter()
+            .map(|(t, _)| AltId(t.get(2).as_int() as u32))
+            .collect()
+    }
+
     #[test]
-    fn bound_sink_matches_the_driver_dp_on_an_unpruned_build() {
-        // Parity diagnostic for the in-network B1–B5 rules: on a build
-        // whose LocalCost relation is complete, the materialized
-        // `Bound` sink must equal the driver DP row-for-row — same
-        // groups, bit-identical bound values (both sides subtract and
-        // aggregate in the same order).
+    fn pruned_alternatives_re_enter_when_a_cost_decrease_makes_them_best() {
+        // Re-entry against a from-scratch oracle: a scan-cost decrease
+        // turns an alternative the driver had pruned into its group's
+        // argmin. The driver must re-assert its `LocalCost` row, and
+        // the maintained cost and plan must equal Volcano's from
+        // scratch on the post-delta parameters.
         let c = fixture_catalog();
+        // Cases where the pruned-alternative count (not only the set)
+        // visibly moved; a swap of equal size leaves it unchanged.
+        let (mut re_entered, mut count_moved) = (0usize, 0usize);
         for q in fixture_queries() {
-            let mut df = DataflowOptimizer::with_pruning(&c, q.clone(), false);
-            df.optimize();
-            let check = |df: &DataflowOptimizer, what: &str| {
-                let mut got: Vec<Tuple> = df
-                    .sink("Bound")
-                    .iter()
-                    .filter(|(_, n)| *n > 0)
-                    .map(|(t, _)| t.clone())
+            for l in 0..q.n_leaves() {
+                let batch = vec![ParamDelta::LeafScanCost(LeafId(l), 0.01)];
+                let mut df = DataflowOptimizer::new(&c, q.clone());
+                df.optimize();
+                let before = df.pruned.clone();
+                let pruned_before = df.pruned_alternatives();
+                let got = df.reoptimize(&batch);
+                let entered: Vec<AltId> = best_plan_alts(&df)
+                    .into_iter()
+                    .filter(|a| before[a.0 as usize])
                     .collect();
-                got.sort();
-                assert_eq!(got, df.driver_bounds(), "{what}");
-            };
-            check(&df, &q.name);
-            df.reoptimize(&[ParamDelta::EdgeSelectivity(EdgeId(0), 6.0)]);
-            check(&df, &format!("{} after a selectivity delta", q.name));
+                if entered.is_empty() {
+                    continue;
+                }
+                re_entered += entered.len();
+                let what = format!("{} after {batch:?}", q.name);
+                for a in &entered {
+                    assert!(!df.pruned[a.0 as usize], "{what}: argmin alt {} still pruned", a.0);
+                }
+                assert_ne!(df.pruned, before, "{what}: prune set did not move");
+                if df.pruned_alternatives() != pruned_before {
+                    count_moved += 1;
+                }
+                let mut ctx = CostContext::new(&c, &q);
+                ctx.apply(&batch);
+                let want = reopt_baselines::optimize_volcano(&q, &JoinGraph::new(&q), &mut ctx);
+                assert!(got.cost.approx_eq(want.cost), "{what}: {:?} vs {:?}", got.cost, want.cost);
+                assert_eq!(got.plan, want.plan, "{what}");
+            }
         }
+        assert!(re_entered > 0, "no scan-cost decrease re-admitted a pruned alternative");
+        assert!(count_moved > 0, "pruned_alternatives() never reflected a re-entry");
+    }
+
+    #[test]
+    fn node_counters_reconcile_with_run_totals_on_fixtures() {
+        // Every delivered batch is charged to its target node as well
+        // as to the run totals, so on clean runs the lifetime per-node
+        // counters sum to the per-run `RunStats` totals.
+        let c = fixture_catalog();
+        let batches = [
+            vec![ParamDelta::EdgeSelectivity(EdgeId(0), 7.0)],
+            vec![ParamDelta::LeafCardinality(LeafId(1), 0.3)],
+            vec![ParamDelta::LeafScanCost(LeafId(0), 0.2)],
+        ];
+        for q in fixture_queries() {
+            let mut df = DataflowOptimizer::new(&c, q.clone());
+            let mut runs = vec![df.optimize()];
+            runs.extend(batches.iter().map(|b| df.reoptimize(b)));
+            assert!(runs.iter().all(|o| o.recovery.is_clean()), "{}", q.name);
+            let batches_run: u64 = runs.iter().map(|o| o.stats.batches_processed).sum();
+            let deltas_run: u64 = runs.iter().map(|o| o.stats.deltas_processed).sum();
+            let nodes = df.node_stats();
+            let batches_nodes: u64 = nodes.iter().map(|(_, b, _)| b).sum();
+            let deltas_nodes: u64 = nodes.iter().map(|(_, _, d)| d).sum();
+            assert_eq!(batches_nodes, batches_run, "{}: batches", q.name);
+            assert_eq!(deltas_nodes, deltas_run, "{}: deltas", q.name);
+        }
+    }
+
+    #[test]
+    fn checkpoint_without_a_durable_dir_is_an_error_not_a_panic() {
+        let c = fixture_catalog();
+        let mut df = DataflowOptimizer::new(&c, chain_query(&c, 3));
+        df.optimize();
+        let err = df.checkpoint_durable().expect_err("no durable dir is armed");
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput);
+        assert!(df.durable_dir().is_none());
     }
 }

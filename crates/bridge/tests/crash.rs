@@ -428,6 +428,32 @@ fn torn_wal_tail_is_discarded_and_the_log_heals() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// A WAL whose only record is torn must not recover as a clean first
+/// boot (`Committed`): that would hide the loss of an appended batch. A
+/// torn tail is history, so recovery reports a rebuild.
+#[test]
+fn a_wal_torn_inside_its_only_record_is_not_a_first_boot() {
+    let (c, q) = chain5();
+    let dir = fresh_dir("torn-only");
+    let mut victim = DataflowOptimizer::new(&c, q.clone());
+    victim.set_audit_mode(AuditMode::Off);
+    victim.set_durable_dir(&dir).unwrap();
+    let want = victim.optimize();
+    victim.reoptimize(&chain5_batches(&q)[0]);
+    drop(victim);
+
+    let path = dir.join("wal.bin");
+    let bytes = std::fs::read(&path).unwrap();
+    std::fs::write(&path, &bytes[..bytes.len() - 3]).unwrap();
+
+    let (mut rec, out) = DataflowOptimizer::recover(&c, q.clone(), &dir).unwrap();
+    assert_eq!(out.recovery.path, RecoveryPath::RebuiltFromScratch);
+    // The torn batch is gone, so the state is the initial one.
+    assert!(out.cost.approx_eq(want.cost));
+    assert!(rec.audit().is_ok());
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// Crash between "write `checkpoint.tmp`" and "rename over
 /// `checkpoint.bin`": the stranded staging file must be swept on every
 /// startup path, never read as state. Three crash points are staged —

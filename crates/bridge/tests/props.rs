@@ -11,6 +11,8 @@
 //! updates under every configuration; and for arbitrary updates under
 //! configurations that never reclaim state (or reclaim strictly).
 
+use std::collections::HashMap;
+
 use proptest::prelude::*;
 
 use reopt_bridge::{AuditMode, AuditOutcome, DataflowOptimizer, DataflowOutcome};
@@ -103,6 +105,23 @@ fn deltas_for(q: &QuerySpec, raw: &[(u8, u8, u8)], increase_only: bool) -> Vec<P
             }
         })
         .collect()
+}
+
+/// `d` with its factor multiplied onto the parameter's current absolute
+/// factor in `current` (1 when untouched), which is updated to match.
+fn compound(current: &mut HashMap<(u8, u32), f64>, d: ParamDelta) -> ParamDelta {
+    let (key, f) = match d {
+        ParamDelta::EdgeSelectivity(e, f) => ((0, e.0), f),
+        ParamDelta::LeafCardinality(l, f) => ((1, l.0), f),
+        ParamDelta::LeafScanCost(l, f) => ((2, l.0), f),
+    };
+    let abs = current.get(&key).copied().unwrap_or(1.0) * f;
+    current.insert(key, abs);
+    match d {
+        ParamDelta::EdgeSelectivity(e, _) => ParamDelta::EdgeSelectivity(e, abs),
+        ParamDelta::LeafCardinality(l, _) => ParamDelta::LeafCardinality(l, abs),
+        ParamDelta::LeafScanCost(l, _) => ParamDelta::LeafScanCost(l, abs),
+    }
 }
 
 /// Fails if the outcome's sampled audit flagged drift. With `REOPT_AUDIT`
@@ -209,8 +228,15 @@ proptest! {
         let mut hand = IncrementalOptimizer::new(&c, q.clone(), PruningConfig::all());
         df.optimize();
         hand.optimize();
+        // Factors are absolute, so a later factor ≥ 1 can still lower a
+        // parameter an earlier batch raised; compounding each factor onto
+        // the parameter's current value keeps every batch an increase.
+        let mut current = HashMap::new();
         for raw in &seq {
-            let deltas = deltas_for(&q, raw, true);
+            let deltas: Vec<ParamDelta> = deltas_for(&q, raw, true)
+                .into_iter()
+                .map(|d| compound(&mut current, d))
+                .collect();
             let got = df.reoptimize(&deltas);
             let want = hand.reoptimize(&deltas);
             prop_assert!(got.cost.approx_eq(want.cost),

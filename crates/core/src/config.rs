@@ -19,11 +19,11 @@ pub struct PruningConfig {
     /// §3.3 recursive bounding: the `Bound` relation of rules r1–r4;
     /// suppression then tests against `Bound` instead of `BestCost`.
     pub recursive_bounding: bool,
-    /// Reproduction extension (see DESIGN.md §3.3): on re-optimization,
-    /// conservatively revalidate frozen state whose parameters changed,
-    /// restoring the unconditional optimality guarantee for cost
-    /// *decreases* landing entirely inside reclaimed regions, at the
-    /// price of touching more state.
+    /// Reproduction extension (see the README's "Exactness after cost
+    /// decreases (§3.3)"): on re-optimization, conservatively revalidate
+    /// frozen state whose parameters changed, restoring the unconditional
+    /// optimality guarantee for cost *decreases* landing entirely inside
+    /// reclaimed regions, at the price of touching more state.
     pub strict_revalidation: bool,
 }
 

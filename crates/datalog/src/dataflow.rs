@@ -744,11 +744,34 @@ impl Dataflow {
         self.rollbacks += 1;
     }
 
-    /// Checks the armed fault plan at `step` processed deltas.
-    fn check_fault(&mut self, step: u64) -> Result<(), DataflowError> {
-        if let Some(plan) = self.fault_plan.as_mut() {
-            if plan.fire(step) {
-                return Err(DataflowError::InjectedFault { step });
+    /// Charges one batch of `len` deltas delivered to `node` — to the
+    /// run totals and to the node's lifetime counters alike, so the two
+    /// reconcile — then enforces the step budget and, when `armed`, the
+    /// fault plan. Every delivery path (queue pop, sync fanout, chained
+    /// dispatch) goes through here.
+    fn charge(
+        &mut self,
+        node: usize,
+        len: usize,
+        stats: &mut RunStats,
+        armed: bool,
+    ) -> Result<(), DataflowError> {
+        stats.batches_processed += 1;
+        stats.deltas_processed += len as u64;
+        let n = &mut self.nodes[node];
+        n.stat_batches += 1;
+        n.stat_deltas += len as u64;
+        if stats.deltas_processed > self.max_steps {
+            return Err(DataflowError::FixpointOverrun {
+                steps: self.max_steps,
+            });
+        }
+        if armed {
+            let step = stats.deltas_processed;
+            if let Some(plan) = self.fault_plan.as_mut() {
+                if plan.fire(step) {
+                    return Err(DataflowError::InjectedFault { step });
+                }
             }
         }
         Ok(())
@@ -771,18 +794,7 @@ impl Dataflow {
                     continue;
                 }
             }
-            stats.batches_processed += 1;
-            stats.deltas_processed += batch.len() as u64;
-            self.nodes[node].stat_batches += 1;
-            self.nodes[node].stat_deltas += batch.len() as u64;
-            if stats.deltas_processed > self.max_steps {
-                return Err(DataflowError::FixpointOverrun {
-                    steps: self.max_steps,
-                });
-            }
-            if armed {
-                self.check_fault(stats.deltas_processed)?;
-            }
+            self.charge(node, batch.len(), stats, armed)?;
             out.clear();
             match &mut self.nodes[node].kind {
                 // Inputs and pass-through operators forward the batch by
@@ -860,22 +872,9 @@ impl Dataflow {
                     ) {
                         continue; // sinks absorbed above
                     }
-                    stats.batches_processed += 1;
-                    stats.deltas_processed += out.len() as u64;
-                    if stats.deltas_processed > self.max_steps {
-                        result = Err(DataflowError::FixpointOverrun {
-                            steps: self.max_steps,
-                        });
+                    if let Err(e) = self.charge(target, out.len(), stats, armed) {
+                        result = Err(e);
                         break;
-                    }
-                    if armed {
-                        let step = stats.deltas_processed;
-                        if let Some(plan) = self.fault_plan.as_mut() {
-                            if plan.fire(step) {
-                                result = Err(DataflowError::InjectedFault { step });
-                                break;
-                            }
-                        }
                     }
                     let mut fan_out: Vec<Delta> = Vec::new();
                     let status = match &mut self.nodes[target].kind {
@@ -916,42 +915,29 @@ impl Dataflow {
             if let (true, Some((target, tport)), None) =
                 (self.queue.is_batched(), first, second)
             {
-                if let NodeKind::Op(op) = &mut self.nodes[target].kind {
-                    if !op.coalesces_input() {
-                        stats.batches_processed += 1;
-                        stats.deltas_processed += out.len() as u64;
-                        if stats.deltas_processed > self.max_steps {
-                            // Restore the taken edge list before
-                            // aborting — rollback rewinds state, not
-                            // graph structure.
-                            self.nodes[node].downstream = downstream;
-                            return Err(DataflowError::FixpointOverrun {
-                                steps: self.max_steps,
-                            });
-                        }
-                        if armed {
-                            let step = stats.deltas_processed;
-                            if let Some(plan) = self.fault_plan.as_mut() {
-                                if plan.fire(step) {
-                                    self.nodes[node].downstream = downstream;
-                                    return Err(DataflowError::InjectedFault { step });
-                                }
-                            }
-                        }
-                        if op.is_passthrough() {
-                            assert!(tport < op.arity(), "port {tport} out of range");
-                        } else {
-                            chain.clear();
-                            if let Err(e) = op.on_batch(tport, out, chain) {
-                                self.nodes[node].downstream = downstream;
-                                return Err(e);
-                            }
-                            std::mem::swap(out, chain);
-                        }
+                if matches!(&self.nodes[target].kind, NodeKind::Op(op) if !op.coalesces_input()) {
+                    if let Err(e) = self.charge(target, out.len(), stats, armed) {
+                        // Restore the taken edge list before aborting —
+                        // rollback rewinds state, not graph structure.
                         self.nodes[node].downstream = downstream;
-                        node = target;
-                        continue;
+                        return Err(e);
                     }
+                    let NodeKind::Op(op) = &mut self.nodes[target].kind else {
+                        unreachable!("matched as an operator above")
+                    };
+                    if op.is_passthrough() {
+                        assert!(tport < op.arity(), "port {tport} out of range");
+                    } else {
+                        chain.clear();
+                        if let Err(e) = op.on_batch(tport, out, chain) {
+                            self.nodes[node].downstream = downstream;
+                            return Err(e);
+                        }
+                        std::mem::swap(out, chain);
+                    }
+                    self.nodes[node].downstream = downstream;
+                    node = target;
+                    continue;
                 }
             }
             let last_queued = downstream

@@ -94,6 +94,48 @@ proptest! {
         }
     }
 
+    /// Counters that describe the same work reconcile: every delivered
+    /// batch — popped from the queue, fanned out synchronously by a
+    /// shared arrangement, or chained into a stateless consumer — is
+    /// charged to its target node as well as to the run, so on clean
+    /// runs the lifetime `node_stats()` sums equal the summed
+    /// `RunStats`, in every scheduler mode, with and without sharing.
+    #[test]
+    fn node_counters_reconcile_with_run_totals(
+        gen in net_gen(5),
+        evts in events(24),
+        run_every in 1usize..6,
+    ) {
+        for (mode, fusion, sharing) in [
+            (SchedulerMode::Batched, false, false),
+            (SchedulerMode::Batched, true, false),
+            (SchedulerMode::PerDelta, false, false),
+            (SchedulerMode::Batched, false, true),
+            (SchedulerMode::Batched, true, true),
+            (SchedulerMode::PerDelta, false, true),
+        ] {
+            let (mut df, inputs, _) = build(&gen, mode, fusion, sharing);
+            let (mut batches, mut deltas) = (0u64, 0u64);
+            for (step, (which, key, val, insert)) in evts.iter().enumerate() {
+                let tup = ints(&[*key as i64, *val as i64]);
+                if *insert {
+                    df.insert(inputs[*which as usize], tup);
+                } else {
+                    df.delete(inputs[*which as usize], tup);
+                }
+                if step % run_every == 0 || step + 1 == evts.len() {
+                    let stats = df.run().unwrap();
+                    batches += stats.batches_processed;
+                    deltas += stats.deltas_processed;
+                }
+            }
+            let nodes = df.node_stats();
+            let what = (mode, fusion, sharing);
+            prop_assert_eq!(nodes.iter().map(|n| n.1).sum::<u64>(), batches, "batches {:?}", what);
+            prop_assert_eq!(nodes.iter().map(|n| n.2).sum::<u64>(), deltas, "deltas {:?}", what);
+        }
+    }
+
     /// Fusion-focused slice of the matrix: single-consumer stateless
     /// chains (the shape fusion rewrites) produce identical sinks, the
     /// rewrite provably fires, and the run reports the dispatches it
