@@ -16,9 +16,9 @@ fn tc_dataflow() -> (Dataflow, NodeId, SinkId) {
     let union = df.add_op_unwired(Union::new(2));
     df.connect(edge, union, 0);
     let path = df.add_op(Distinct::new(), &[union]);
-    let join = df.add_op_unwired(HashJoin::new(vec![1], vec![0]));
-    df.connect(path, join, 0);
-    df.connect(edge, join, 1);
+    let (pa, ph) = df.add_arrange(path, vec![1]);
+    let (ea, eh) = df.add_arrange(edge, vec![0]);
+    let join = df.add_op(HashJoin::new(ph, eh), &[pa, ea]);
     let proj = df.add_op(Map::project(vec![0, 3]), &[join]);
     df.connect(proj, union, 1);
     let sink = df.add_sink(path);

@@ -16,11 +16,13 @@
 //!   subtraction chains and scalar `min<a,b>` combines; a one-argument
 //!   `min<x>`/`max<x>` head compiles to a (multi-column-key)
 //!   [`GroupAgg`] over the remaining head columns;
-//! - join sides that read a relation directly attach to *shared
-//!   arrangements*: one [`Arrange`] node per `(relation, key columns)`
-//!   maintains the keyed index, and every join demanding that index
-//!   probes it through a handle instead of keeping an owned copy (see
-//!   [`NetworkBuilder::share_arrangements`]).
+//! - every join side probes an *arrangement*: an
+//!   [`Arrange`](reopt_datalog::Arrange) node maintains the keyed index
+//!   and the join reads it through a handle. Arrangements are
+//!   deduplicated per `(source node, key columns)`, so joins reading one
+//!   relation on the same key share one index; a self-join whose two
+//!   sides resolve to the same `(source, key)` arranges that relation
+//!   twice, because one index must never feed both ports of a join.
 //!
 //! A relation may be *both* derived and a base input ("seeded"): the
 //! input feeds port 0 of the relation's union — how `Bound(root)` is
@@ -30,12 +32,11 @@ use std::cell::RefCell;
 use std::fmt;
 use std::rc::Rc;
 
-use reopt_common::{FxHashMap, FxHashSet};
+use reopt_common::FxHashMap;
 use reopt_core::rules_ir::{AggFunc, Atom, Rule, Term};
 use reopt_datalog::{
-    AggKind, Arrange, ArrangementHandle, Dataflow, DataflowError, Delta, Distinct, ExternalFn,
-    FaultPlan, GroupAgg, HashJoin, Map, Multiset, NodeId, RunStats, SchedulerMode, SinkId,
-    Tuple, Union, Val,
+    AggKind, ArrangementHandle, Dataflow, DataflowError, Delta, Distinct, ExternalFn, FaultPlan,
+    GroupAgg, HashJoin, Map, Multiset, NodeId, RunStats, SchedulerMode, SinkId, Tuple, Union, Val,
 };
 
 /// The value standing in for the rules' `null` constant: a dedicated
@@ -99,8 +100,6 @@ pub struct NetworkBuilder {
     externals: FxHashMap<String, ExternalDef>,
     sinks: Vec<String>,
     mode: SchedulerMode,
-    fusion: bool,
-    share_arrangements: bool,
 }
 
 impl Default for NetworkBuilder {
@@ -111,8 +110,6 @@ impl Default for NetworkBuilder {
             externals: FxHashMap::default(),
             sinks: Vec::new(),
             mode: SchedulerMode::Batched,
-            fusion: true,
-            share_arrangements: true,
         }
     }
 }
@@ -125,17 +122,6 @@ impl NetworkBuilder {
     /// Selects the substrate scheduler (default batched).
     pub fn scheduler_mode(mut self, mode: SchedulerMode) -> NetworkBuilder {
         self.mode = mode;
-        self
-    }
-
-    /// Enables or disables operator-chain fusion (default on; only
-    /// effective under the batched scheduler). The compiler fuses the
-    /// wired network once at [`NetworkBuilder::build`] time, so every
-    /// single-consumer stateless chain a rule body lowers to — scan
-    /// filter → external function → head projection — runs as one
-    /// operator.
-    pub fn fusion(mut self, on: bool) -> NetworkBuilder {
-        self.fusion = on;
         self
     }
 
@@ -180,17 +166,6 @@ impl NetworkBuilder {
         self
     }
 
-    /// Enables or disables shared arrangements (default on). When on,
-    /// every join side that reads a relation directly probes a keyed
-    /// index maintained once per `(relation, key signature)` by an
-    /// [`Arrange`] node, instead of each join keeping an owned copy of
-    /// the same index. Dedup is by key columns, so `SearchSpace` joined
-    /// on `(expr,prop)` by several rules is indexed exactly once.
-    pub fn share_arrangements(mut self, on: bool) -> NetworkBuilder {
-        self.share_arrangements = on;
-        self
-    }
-
     /// Requests a materialized sink on a relation.
     pub fn sink(mut self, name: &str) -> NetworkBuilder {
         self.sinks.push(name.to_string());
@@ -218,12 +193,10 @@ struct Compiler {
     b: NetworkBuilder,
     df: Dataflow,
     rels: FxHashMap<String, RelInfo>,
-    /// Relation read nodes — the only join sides worth arranging:
-    /// anything else (a per-rule filter/projection `Map`) has exactly
-    /// one consumer, so a shared index could never be reused.
-    rel_reads: FxHashSet<NodeId>,
-    /// Shared indexes already built, by `(source node, key columns)`.
+    /// Indexes already built, by `(source node, key columns)`.
     arrangements: FxHashMap<(NodeId, Vec<usize>), (NodeId, ArrangementHandle)>,
+    /// Every `Arrange` node built, self-join duplicates included.
+    arrange_nodes: usize,
 }
 
 /// A partially compiled rule body: the node producing the current
@@ -241,14 +214,12 @@ impl Binding {
 
 impl Compiler {
     fn new(b: NetworkBuilder) -> Result<Compiler, CompileError> {
-        let mut df = Dataflow::with_mode(b.mode);
-        df.set_fusion(b.fusion);
         Ok(Compiler {
+            df: Dataflow::with_mode(b.mode),
             b,
-            df,
             rels: FxHashMap::default(),
-            rel_reads: FxHashSet::default(),
             arrangements: FxHashMap::default(),
+            arrange_nodes: 0,
         })
     }
 
@@ -268,8 +239,10 @@ impl Compiler {
             sinks.insert(name.clone(), self.df.add_sink(rel.read));
         }
         // The network is fully wired: fuse single-consumer stateless
-        // chains now so the first run doesn't pay the pass.
-        if self.b.fusion && self.b.mode == SchedulerMode::Batched {
+        // chains now so the first run doesn't pay the pass — every
+        // chain a rule body lowers to (scan filter → external function
+        // → head projection) runs as one operator.
+        if self.b.mode == SchedulerMode::Batched {
             self.df.fuse();
         }
         let inputs = self
@@ -281,7 +254,7 @@ impl Compiler {
             df: self.df,
             inputs,
             sinks,
-            arrangements: self.arrangements.len(),
+            arrangements: self.arrange_nodes,
         })
     }
 
@@ -404,22 +377,25 @@ impl Compiler {
                 }
             }
         }
-        self.rel_reads = self.rels.values().map(|r| r.read).collect();
         Ok(())
     }
 
-    /// The shared arrangement over `source` keyed on `key`, creating
-    /// its [`Arrange`] node on first demand.
+    /// The arrangement over `source` keyed on `key`, creating its
+    /// [`Arrange`](reopt_datalog::Arrange) node on first demand.
     fn arrangement(&mut self, source: NodeId, key: Vec<usize>) -> (NodeId, ArrangementHandle) {
         if let Some(found) = self.arrangements.get(&(source, key.clone())) {
             return found.clone();
         }
-        let op = Arrange::new(key.clone());
-        let handle = op.handle();
-        let node = self.df.add_op(op, &[source]);
-        self.arrangements
-            .insert((source, key), (node, handle.clone()));
-        (node, handle)
+        let arranged = self.arrange(source, key.clone());
+        self.arrangements.insert((source, key), arranged.clone());
+        arranged
+    }
+
+    /// A new, undeduplicated [`Arrange`](reopt_datalog::Arrange) node
+    /// over `source`.
+    fn arrange(&mut self, source: NodeId, key: Vec<usize>) -> (NodeId, ArrangementHandle) {
+        self.arrange_nodes += 1;
+        self.df.add_arrange(source, key)
     }
 
     fn compile_rule(&mut self, rule: &Rule) -> Result<(), CompileError> {
@@ -588,34 +564,25 @@ impl Compiler {
                 vars.push(v.clone());
             }
         }
-        let mut join = if proj.len() == lw + right.vars.len() {
-            HashJoin::new(lk.clone(), rk.clone())
+        // Each side probes the index an `Arrange` node maintains over
+        // it, shared per `(source, key)`; the join is wired through
+        // those nodes so each index update precedes its probes (the
+        // arrangement's sync-fanout dispatch). One index must never
+        // feed both ports, so a self-join on one key arranges its right
+        // side a second time.
+        let self_join = (right.node, &rk) == (left.node, &lk);
+        let (l_node, l_handle) = self.arrangement(left.node, lk);
+        let (r_node, r_handle) = if self_join {
+            self.arrange(right.node, rk)
         } else {
-            HashJoin::with_projection(lk.clone(), rk.clone(), proj)
+            self.arrangement(right.node, rk)
         };
-        // Shared arrangements: a side reading a relation directly
-        // attaches to the keyed index maintained once per
-        // `(relation, key)` by an `Arrange` node; the join is rewired
-        // through that node so the index update always precedes the
-        // probe (the arrangement's sync-fanout dispatch). The same
-        // arrangement must never feed both ports — a self-join on one
-        // key keeps its right side owned.
-        let mut wire = [left.node, right.node];
-        let mut left_arr: Option<NodeId> = None;
-        if self.b.share_arrangements && self.rel_reads.contains(&left.node) {
-            let (node, handle) = self.arrangement(left.node, lk);
-            join = join.share_left(handle);
-            wire[0] = node;
-            left_arr = Some(node);
-        }
-        if self.b.share_arrangements && self.rel_reads.contains(&right.node) {
-            let (node, handle) = self.arrangement(right.node, rk);
-            if Some(node) != left_arr {
-                join = join.share_right(handle);
-                wire[1] = node;
-            }
-        }
-        let node = self.df.add_op(join, &wire);
+        let join = if proj.len() == lw + right.vars.len() {
+            HashJoin::new(l_handle, r_handle)
+        } else {
+            HashJoin::with_projection(l_handle, r_handle, proj)
+        };
+        let node = self.df.add_op(join, &[l_node, r_node]);
         Binding { node, vars }
     }
 
@@ -1018,8 +985,8 @@ impl RuleNetwork {
         self.df.node_stats()
     }
 
-    /// Number of shared arrangements the compiler built (diagnostics;
-    /// 0 when arrangement sharing is disabled).
+    /// Number of arrangements (`Arrange` nodes) the compiler built
+    /// (diagnostics).
     pub fn arrangement_count(&self) -> usize {
         self.arrangements
     }
@@ -1239,14 +1206,14 @@ mod tests {
     }
 
     #[test]
-    fn scheduler_and_fusion_options_preserve_results() {
-        // The same program under {batched+fusion (default), batched,
-        // per-delta} — identical sinks after mixed churn, and the fused
-        // build visibly collapsed chain nodes.
-        let build = |mode: SchedulerMode, fusion: bool| {
+    fn scheduler_modes_preserve_results() {
+        // The same program under the batched scheduler (which fuses
+        // chains at build time) and per-delta — identical sinks after
+        // mixed churn, and the batched build visibly collapsed chain
+        // nodes.
+        let build = |mode: SchedulerMode| {
             NetworkBuilder::new()
                 .scheduler_mode(mode)
-                .fusion(fusion)
                 .input("In", 2)
                 .external("Fn_inc", 1, |args, emit| {
                     emit(&[Val::Int(args[0].as_int() + 1)]);
@@ -1261,9 +1228,8 @@ mod tests {
                 .unwrap()
         };
         let mut nets = [
-            build(SchedulerMode::Batched, true),
-            build(SchedulerMode::Batched, false),
-            build(SchedulerMode::PerDelta, false),
+            build(SchedulerMode::Batched),
+            build(SchedulerMode::PerDelta),
         ];
         for (a, b, ins) in [(1, 10, true), (2, 20, true), (1, 10, false), (3, 5, true)] {
             for net in nets.iter_mut() {
@@ -1275,24 +1241,38 @@ mod tests {
                 net.run().unwrap();
             }
         }
-        let reference = nets[0].sink("Out").sorted();
-        assert_eq!(reference, vec![ints(&[3]), ints(&[4])]);
-        for net in &nets[1..] {
-            assert_eq!(net.sink("Out").sorted(), reference);
-            assert_eq!(net.fused_node_count(), 0);
+        let [batched, per_delta] = &nets;
+        assert_eq!(batched.sink("Out").sorted(), vec![ints(&[3]), ints(&[4])]);
+        assert_eq!(per_delta.sink("Out").sorted(), batched.sink("Out").sorted());
+        assert!(batched.fused_node_count() > 0, "no chains fused");
+        assert_eq!(per_delta.fused_node_count(), 0);
+    }
+
+    /// Applies a `(relation, a, b, insert?)` script to every network,
+    /// running each to fixpoint after every step.
+    fn churn(nets: &mut [RuleNetwork], script: &[(&str, i64, i64, bool)]) {
+        for &(rel, a, b, ins) in script {
+            for net in nets.iter_mut() {
+                if ins {
+                    net.insert(rel, ints(&[a, b]));
+                } else {
+                    net.delete(rel, ints(&[a, b]));
+                }
+                net.run().unwrap();
+            }
         }
-        assert!(nets[0].fused_node_count() > 0, "no chains fused");
     }
 
     #[test]
     fn shared_arrangements_dedup_indexes_and_preserve_results() {
-        // Three rules join on `R` keyed by its first column — with
-        // sharing on, that index is arranged exactly once (plus one for
-        // `S`); sinks match the owned-index build through mixed churn,
-        // including recursion through `Reach`.
-        let build = |share: bool| {
+        // Three rules join on `R` keyed by its second column or by its
+        // first: each `(relation, key)` index is arranged exactly once
+        // — R on y, R on x, S on y, Reach on y — and the sinks equal
+        // the hand-computed answer after mixed churn, including
+        // recursion through `Reach`, under both schedulers.
+        let build = |mode: SchedulerMode| {
             NetworkBuilder::new()
-                .share_arrangements(share)
+                .scheduler_mode(mode)
                 .input("R", 2)
                 .input("S", 2)
                 .rule_texts([
@@ -1308,33 +1288,95 @@ mod tests {
                 .build()
                 .unwrap()
         };
-        let mut shared = build(true);
-        let mut owned = build(false);
-        assert!(shared.arrangement_count() > 0, "nothing was arranged");
-        assert_eq!(owned.arrangement_count(), 0);
-        let script: &[(&str, i64, i64, bool)] = &[
-            ("R", 1, 2, true),
-            ("R", 2, 3, true),
-            ("S", 2, 9, true),
-            ("R", 3, 4, true),
-            ("R", 2, 3, false),
-            ("S", 3, 7, true),
-            ("R", 2, 4, true),
+        let mut nets = [
+            build(SchedulerMode::Batched),
+            build(SchedulerMode::PerDelta),
         ];
-        for &(rel, a, b, ins) in script {
-            for net in [&mut shared, &mut owned] {
-                if ins {
-                    net.insert(rel, ints(&[a, b]));
-                } else {
-                    net.delete(rel, ints(&[a, b]));
+        churn(
+            &mut nets,
+            &[
+                ("R", 1, 2, true),
+                ("R", 2, 3, true),
+                ("S", 2, 9, true),
+                ("R", 3, 4, true),
+                ("R", 2, 3, false),
+                ("S", 3, 7, true),
+                ("R", 2, 4, true),
+            ],
+        );
+        // Final R = {(1,2), (3,4), (2,4)}, S = {(2,9), (3,7)}.
+        for net in &nets {
+            assert_eq!(net.arrangement_count(), 4);
+            for rel in ["Pair", "Wide", "Reach"] {
+                assert!(!net.sink(rel).has_negative_counts(), "{rel}");
+            }
+            assert_eq!(net.sink("Pair").sorted(), vec![ints(&[1, 9])]);
+            assert_eq!(net.sink("Wide").sorted(), vec![ints(&[1, 2, 4])]);
+            assert_eq!(
+                net.sink("Reach").sorted(),
+                vec![ints(&[1, 2]), ints(&[1, 4]), ints(&[2, 4]), ints(&[3, 4])]
+            );
+        }
+    }
+
+    #[test]
+    fn same_key_self_join_arranges_its_relation_twice() {
+        // Both sides of `R(x,y), R(x,z)` resolve to R keyed on x. One
+        // index on both ports would double-count ΔR ⋈ ΔR, so the right
+        // side gets a second, undeduplicated arrangement; the result
+        // is every pair of payloads sharing a key, under both
+        // schedulers.
+        let build = |mode: SchedulerMode| {
+            NetworkBuilder::new()
+                .scheduler_mode(mode)
+                .input("R", 2)
+                .rule_texts(["P: Pair(y,z) :- R(x,y), R(x,z);"])
+                .unwrap()
+                .sink("Pair")
+                .build()
+                .unwrap()
+        };
+        let script: &[(&str, i64, i64, bool)] = &[
+            ("R", 1, 10, true),
+            ("R", 1, 11, true),
+            ("R", 2, 20, true),
+            ("R", 1, 10, false),
+            ("R", 2, 21, true),
+            ("R", 1, 12, true),
+        ];
+        let mut nets = [
+            build(SchedulerMode::Batched),
+            build(SchedulerMode::PerDelta),
+        ];
+        churn(&mut nets, script);
+        // Final R = {(1,11), (2,20), (2,21), (1,12)}.
+        let r = [(1, 11), (2, 20), (2, 21), (1, 12)];
+        let mut want: Vec<Tuple> = Vec::new();
+        for (x1, y) in r {
+            for (x2, z) in r {
+                if x1 == x2 && !want.contains(&ints(&[y, z])) {
+                    want.push(ints(&[y, z]));
                 }
-                net.run().unwrap();
             }
         }
-        for rel in ["Pair", "Wide", "Reach"] {
-            assert!(!shared.sink(rel).has_negative_counts());
-            assert_eq!(shared.sink(rel).sorted(), owned.sink(rel).sorted(), "{rel}");
+        want.sort();
+        for net in &nets {
+            assert_eq!(net.arrangement_count(), 2);
+            assert!(!net.sink("Pair").has_negative_counts());
+            assert_eq!(net.sink("Pair").sorted(), want);
         }
+        // Batched in one epoch too: the whole script's net effect lands
+        // in a single run, where ΔR meets ΔR on both ports at once.
+        let mut once = build(SchedulerMode::Batched);
+        for &(rel, a, b, ins) in script {
+            if ins {
+                once.insert(rel, ints(&[a, b]));
+            } else {
+                once.delete(rel, ints(&[a, b]));
+            }
+        }
+        once.run().unwrap();
+        assert_eq!(once.sink("Pair").sorted(), want);
     }
 
     #[test]

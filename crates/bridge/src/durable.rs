@@ -4,7 +4,7 @@
 //! acknowledged.
 //!
 //! File layout (shared framing with `reopt_datalog::checkpoint`, its
-//! own magic):
+//! own magic and format version):
 //!
 //! ```text
 //! wal    := "RWAL" version(u32 LE) record*
@@ -24,7 +24,7 @@ use std::io::Write as _;
 use std::path::Path;
 
 use reopt_cost::ParamDelta;
-use reopt_datalog::checkpoint::{crc32, frame_record, stream_header, Dec, Enc, SymRemap};
+use reopt_datalog::checkpoint::{crc32, frame_record, Dec, Enc, SymRemap};
 use reopt_datalog::DataflowError;
 use reopt_expr::{EdgeId, LeafId};
 
@@ -35,8 +35,10 @@ pub const WAL_FILE: &str = "wal.bin";
 /// Checkpoint file name inside a durable directory.
 pub const CHECKPOINT_FILE: &str = "checkpoint.bin";
 
-/// On-disk format version (lockstep with the checkpoint codec's).
-const VERSION: u32 = reopt_datalog::checkpoint::VERSION;
+/// On-disk WAL format version. Independent of the checkpoint codec's:
+/// WAL records hold parameter deltas, not operator state, so a layout
+/// change in the network's state leaves existing WALs replayable.
+const VERSION: u32 = 1;
 
 fn corrupt(msg: impl Into<String>) -> DataflowError {
     DataflowError::StateCorruption(msg.into())
@@ -75,7 +77,8 @@ pub fn decode_delta(d: &mut Dec<'_>) -> Result<ParamDelta, DataflowError> {
 /// fsynced so the armed log survives a crash that follows immediately.
 pub fn wal_init(path: &Path) -> std::io::Result<()> {
     let mut f = std::fs::File::create(path)?;
-    f.write_all(&stream_header(WAL_MAGIC))?;
+    f.write_all(&WAL_MAGIC)?;
+    f.write_all(&VERSION.to_le_bytes())?;
     f.sync_all()
 }
 

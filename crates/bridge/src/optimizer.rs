@@ -1344,8 +1344,8 @@ impl DataflowOptimizer {
         self.net.fused_node_count()
     }
 
-    /// Shared arrangements the compiler built for the executable
-    /// program (diagnostics).
+    /// Arrangements (`Arrange` nodes) the compiler built for the
+    /// executable program (diagnostics).
     pub fn arrangements(&self) -> usize {
         self.net.arrangement_count()
     }
@@ -1591,7 +1591,7 @@ mod tests {
             df.network_nodes() > df.memo().n_alts() / 10,
             "sanity: network exists"
         );
-        assert!(df.arrangements() > 0, "compiler shared no arrangements");
+        assert!(df.arrangements() > 0, "compiler built no arrangements");
         let init = df.optimize();
         assert!(init.stats.fused_stages_saved > 0, "{:?}", init.stats);
         assert!(
@@ -1779,6 +1779,48 @@ mod tests {
         assert_eq!(first.recovery.audit, AuditOutcome::NotSampled);
         let second = df.reoptimize(&[ParamDelta::LeafScanCost(LeafId(0), 2.0)]);
         assert_eq!(second.recovery.audit, AuditOutcome::Passed);
+    }
+
+    #[test]
+    fn overflowing_costs_survive_the_audit_and_recover_on_restore() {
+        // The hand-rolled engine's overflow sequence (core's
+        // `overflowing_costs_price_at_infinity_and_recover_on_restore`)
+        // through the declarative engine with every epoch audited: the
+        // audit's shadow is the hand-rolled engine, so an ∞ cost must
+        // not panic there either. The overflow prices at ∞; restoring
+        // the factor lands on Volcano's from-scratch plan and cost.
+        let c = fixture_catalog();
+        let q = chain_query(&c, 4);
+        for (overflow, restore) in [
+            (
+                ParamDelta::LeafCardinality(LeafId(1), 1e300),
+                ParamDelta::LeafCardinality(LeafId(1), 1.0),
+            ),
+            (
+                ParamDelta::LeafScanCost(LeafId(1), f64::INFINITY),
+                ParamDelta::LeafScanCost(LeafId(1), 1.0),
+            ),
+        ] {
+            let what = format!("{overflow:?}");
+            let mut df = DataflowOptimizer::new(&c, q.clone());
+            df.set_audit_mode(AuditMode::Every(1));
+            df.optimize();
+            let out = df.reoptimize(&[overflow]);
+            assert_eq!(out.cost, Cost::INFINITY, "{what}");
+            assert_eq!(out.recovery.audit, AuditOutcome::Passed, "{what}");
+            let out = df.reoptimize(&[restore]);
+            assert_eq!(out.recovery.audit, AuditOutcome::Passed, "{what}");
+            let mut ctx = CostContext::new(&c, &q);
+            ctx.apply(&[overflow, restore]);
+            let want = reopt_baselines::optimize_volcano(&q, &JoinGraph::new(&q), &mut ctx);
+            assert!(
+                out.cost.approx_eq(want.cost),
+                "{what}: {:?} vs {:?}",
+                out.cost,
+                want.cost
+            );
+            assert_eq!(out.plan, want.plan, "{what}");
+        }
     }
 
     #[test]

@@ -413,6 +413,11 @@ impl IncrementalOptimizer {
                 best_alt = Some(a);
             }
         }
+        // No finite total (a cost overflowed to ∞): every alternative
+        // ties at ∞, so keep the first — the group still has a plan.
+        if best_alt.is_none() {
+            best_alt = self.memo.alts_of(g).next();
+        }
         let best_changed = best != self.groups[g.0 as usize].best;
         if best_changed {
             self.groups[g.0 as usize].best = best;
@@ -1094,6 +1099,51 @@ mod tests {
                 out.cost
             );
             opt.check_invariants().unwrap();
+        }
+    }
+
+    #[test]
+    fn overflowing_costs_price_at_infinity_and_recover_on_restore() {
+        // A finite factor can overflow every plan's cost to ∞ (1e300
+        // rows on one leaf of chain4), and an ∞ scan-cost factor does
+        // so directly. No alternative is then finite, yet each group
+        // must keep a plan: every preset returns cost ∞ instead of
+        // panicking, and restoring the factor lands on Volcano's
+        // from-scratch plan and cost.
+        let c = fixture_catalog();
+        let q = chain_query(&c, 4);
+        let g = JoinGraph::new(&q);
+        let overflows = [
+            ParamDelta::LeafCardinality(LeafId(1), 1e300),
+            ParamDelta::LeafScanCost(LeafId(1), f64::INFINITY),
+        ];
+        let restores = [
+            ParamDelta::LeafCardinality(LeafId(1), 1.0),
+            ParamDelta::LeafScanCost(LeafId(1), 1.0),
+        ];
+        for (name, cfg) in [
+            ("none", PruningConfig::none()),
+            ("all", PruningConfig::all()),
+            ("all_strict", PruningConfig::all_strict()),
+        ] {
+            for (overflow, restore) in overflows.iter().zip(&restores) {
+                let what = format!("{name}, {overflow:?}");
+                let mut opt = IncrementalOptimizer::new(&c, q.clone(), cfg);
+                opt.optimize();
+                let out = opt.reoptimize(std::slice::from_ref(overflow));
+                assert_eq!(out.cost, Cost::INFINITY, "{what}");
+                let out = opt.reoptimize(std::slice::from_ref(restore));
+                let mut ctx = CostContext::new(&c, &q);
+                ctx.apply(&[*overflow, *restore]);
+                let want = reopt_baselines::optimize_volcano(&q, &g, &mut ctx);
+                assert!(
+                    out.cost.approx_eq(want.cost),
+                    "{what}: {:?} vs {:?}",
+                    out.cost,
+                    want.cost
+                );
+                assert_eq!(out.plan, want.plan, "{what}");
+            }
         }
     }
 }

@@ -40,7 +40,9 @@ use crate::value::{Tuple, Val};
 pub const MAGIC: [u8; 4] = *b"RCKP";
 /// Current on-disk format version. Bumped on any layout change; readers
 /// reject versions they do not understand instead of misparsing them.
-pub const VERSION: u32 = 1;
+/// Version 2 moved join state out of `HashJoin` payloads into the
+/// payloads of the `Arrange` nodes the joins probe.
+pub const VERSION: u32 = 2;
 
 /// CRC-32 (IEEE 802.3, reflected, polynomial 0xEDB88320) over `bytes`.
 /// Hand-rolled because the container has no crates.io access; the
@@ -381,14 +383,6 @@ pub fn frame_record(payload: Enc) -> Vec<u8> {
     out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
     out.extend_from_slice(&crc32(&payload).to_le_bytes());
     out.extend_from_slice(&payload);
-    out
-}
-
-/// The stream header alone (for initializing an empty WAL file).
-pub fn stream_header(magic: [u8; 4]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(8);
-    out.extend_from_slice(&magic);
-    out.extend_from_slice(&VERSION.to_le_bytes());
     out
 }
 

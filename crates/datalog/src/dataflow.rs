@@ -29,8 +29,8 @@ use reopt_common::FxHashMap;
 
 use crate::delta::{coalesce, CoalesceScratch, Delta};
 use crate::error::{DataflowError, FaultPlan};
-use crate::ops::{Fused, Operator};
-use crate::relation::Multiset;
+use crate::ops::{Arrange, Fused, Operator};
+use crate::relation::{ArrangementHandle, Multiset};
 use crate::value::Tuple;
 
 /// Node handle.
@@ -62,8 +62,8 @@ struct Node {
     coalesce_input: bool,
     /// Whether this node's output must reach every consumer within the
     /// producing dispatch ([`Operator::sync_fanout`]; `Arrange` nodes —
-    /// the shared-index update and the attached joins' probes must be
-    /// atomic with respect to all other scheduling).
+    /// the index update and its joins' probes must be atomic with
+    /// respect to all other scheduling).
     sync_fanout: bool,
     label: String,
     /// Lifetime batch/delta counters for [`Dataflow::node_stats`] —
@@ -284,6 +284,9 @@ pub struct Dataflow {
     queue: Queue,
     /// Reused by batch coalescing across the whole run.
     scratch: CoalesceScratch,
+    /// Output buffers for synchronous fanout, reused across dispatches
+    /// (each nesting level of an `Arrange` fanout borrows two).
+    spare: Vec<Vec<Delta>>,
     max_steps: u64,
     /// Whether [`Dataflow::run`] auto-fuses stateless chains first
     /// (batched mode only; per-delta mode keeps the reference schedule).
@@ -324,6 +327,7 @@ impl Dataflow {
             sinks: Vec::new(),
             queue: Queue::new(mode),
             scratch: CoalesceScratch::default(),
+            spare: Vec::new(),
             max_steps: 50_000_000,
             fusion: mode == SchedulerMode::Batched,
             graph_dirty: false,
@@ -401,6 +405,15 @@ impl Dataflow {
         let coalesce = op.coalesces_input();
         let fanout = op.sync_fanout();
         self.push_node(NodeKind::Op(Box::new(op)), coalesce, fanout, &label)
+    }
+
+    /// Adds an [`Arrange`] over `source` keyed on `key` and returns it
+    /// with the handle a [`crate::ops::HashJoin`] side probes; wire that
+    /// join port to the returned node.
+    pub fn add_arrange(&mut self, source: NodeId, key: Vec<usize>) -> (NodeId, ArrangementHandle) {
+        let op = Arrange::new(key);
+        let handle = op.handle();
+        (self.add_op(op, &[source]), handle)
     }
 
     /// Wires `from`'s output into `to`'s input `port`. Cycles are
@@ -858,8 +871,8 @@ impl Dataflow {
             }
             // Sync fanout: the producer (an `Arrange`) requires its batch
             // to reach every consumer within this same dispatch, so the
-            // shared-index update it just applied and the attached joins'
-            // probes form one atomic step — under any scheduler mode.
+            // index update it just applied and its joins' probes form
+            // one atomic step — under any scheduler mode.
             // Each consumer's own output is routed recursively; recursion
             // depth is bounded by the number of arrange nodes on an
             // acyclic path (consumers themselves enqueue normally).
@@ -876,7 +889,8 @@ impl Dataflow {
                         result = Err(e);
                         break;
                     }
-                    let mut fan_out: Vec<Delta> = Vec::new();
+                    let mut fan_out = self.spare.pop().unwrap_or_default();
+                    let mut sub_chain = self.spare.pop().unwrap_or_default();
                     let status = match &mut self.nodes[target].kind {
                         NodeKind::Op(op) if op.is_passthrough() => {
                             assert!(tport < op.arity(), "port {tport} out of range");
@@ -890,14 +904,14 @@ impl Dataflow {
                         }
                         NodeKind::Sink(_) | NodeKind::Fused => unreachable!(),
                     };
-                    if let Err(e) = status {
-                        result = Err(e);
-                        break;
-                    }
-                    let mut sub_chain: Vec<Delta> = Vec::new();
-                    if let Err(e) =
+                    let status = status.and_then(|()| {
                         self.dispatch(target, &mut fan_out, &mut sub_chain, stats, armed)
-                    {
+                    });
+                    fan_out.clear();
+                    sub_chain.clear();
+                    self.spare.push(fan_out);
+                    self.spare.push(sub_chain);
+                    if let Err(e) = status {
                         result = Err(e);
                         break;
                     }
@@ -1189,7 +1203,9 @@ mod tests {
         let mut df = Dataflow::new();
         let r = df.add_input("r");
         let s = df.add_input("s");
-        let j = df.add_op(HashJoin::new(vec![0], vec![0]), &[r, s]);
+        let (ra, rh) = df.add_arrange(r, vec![0]);
+        let (sa, sh) = df.add_arrange(s, vec![0]);
+        let j = df.add_op(HashJoin::new(rh, sh), &[ra, sa]);
         let sink = df.add_sink(j);
         df.insert(r, ints(&[1, 10]));
         df.insert(s, ints(&[1, 100]));
@@ -1214,9 +1230,9 @@ mod tests {
         let path = df.add_op(Distinct::new(), &[union]);
         // join path(x,y) [port 0, key col 1=y] with edge(y,z) [port 1,
         // key col 0=y] -> (x,y,y,z), project (x,z), feed back.
-        let join = df.add_op_unwired(HashJoin::new(vec![1], vec![0]));
-        df.connect(path, join, 0);
-        df.connect(edge, join, 1);
+        let (pa, ph) = df.add_arrange(path, vec![1]);
+        let (ea, eh) = df.add_arrange(edge, vec![0]);
+        let join = df.add_op(HashJoin::new(ph, eh), &[pa, ea]);
         let proj = df.add_op(Map::project(vec![0, 3]), &[join]);
         df.connect(proj, union, 1);
         let sink = df.add_sink(path);
@@ -1374,7 +1390,9 @@ mod tests {
         let mut df = Dataflow::new();
         let l = df.add_input("l");
         let r = df.add_input("r");
-        let j = df.add_op(HashJoin::new(vec![0], vec![0]), &[l, r]);
+        let (la, lh) = df.add_arrange(l, vec![0]);
+        let (ra, rh) = df.add_arrange(r, vec![0]);
+        let j = df.add_op(HashJoin::new(lh, rh), &[la, ra]);
         let d = df.add_op(Distinct::new(), &[j]);
         let sink = df.add_sink(d);
         (df, l, r, sink)

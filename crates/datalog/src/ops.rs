@@ -115,11 +115,11 @@ pub trait Operator {
     /// to every downstream consumer *synchronously, within the producing
     /// dispatch* — before any other queued batch is serviced — instead
     /// of enqueueing per-edge copies. [`Arrange`] requires this: its
-    /// `on_batch` has already applied the batch to the shared index, and
-    /// attached joins skip their own apply, so the index update and
-    /// every attached probe must be atomic with respect to all other
-    /// scheduling (an interleaved batch on a join's opposite port would
-    /// otherwise double-count `ΔL ⋈ ΔR`).
+    /// `on_batch` has already applied the batch to the index, and the
+    /// joins reading it only probe, so the index update and every probe
+    /// must be atomic with respect to all other scheduling (an
+    /// interleaved batch on a join's opposite port would otherwise
+    /// double-count `ΔL ⋈ ΔR`).
     fn sync_fanout(&self) -> bool {
         false
     }
@@ -451,20 +451,33 @@ impl Operator for Fused {
 /// (`ΔL ⋈ R  ∪  L' ⋈ ΔR`), with multiplicities multiplied (bilinear).
 /// Output tuples are `left ++ right`.
 ///
+/// The join holds no state of its own: each side is an
+/// [`ArrangementHandle`] maintained by an upstream [`Arrange`] node, and
+/// port *i* must be wired to the `Arrange` that owns handle *i* (the
+/// port's deltas are exactly that arrangement's maintenance stream).
+/// A batch arrives *already applied* to its own side — the `Arrange`
+/// applies, then fans out synchronously — so the join only probes the
+/// opposite side. Epoch journaling, rollback, checkpoint and restore of
+/// both sides belong to the owning `Arrange` nodes; an arrangement read
+/// by a single join is simply one with one reader.
+///
 /// A whole batch arrives on one port, so the opposite side's state is
 /// constant across the batch and `ΔL ⋈ R` distributes over the batch's
-/// deltas — the batch can be applied up front and probed in any order.
-/// The batch path exploits that: each delta's key columns are hashed
-/// exactly once (shared between the index update and the probe), the
-/// batch is grouped by key hash so repeated keys consult the index once
-/// and share one output-buffer reservation, and update pairs (`-old`
-/// `+new` on the same key, the dominant shape in view maintenance) pay
-/// for a single probe. Output order within a batch is grouped by key
-/// rather than delta order — invisible at the fixpoint, where sinks and
+/// deltas — the batch can be probed in any order. The probe exploits
+/// that: each delta's key columns are hashed exactly once, the batch is
+/// grouped by key hash so repeated keys consult the index once and
+/// share one output-buffer reservation, and update pairs (`-old` `+new`
+/// on the same key, the dominant shape in view maintenance) pay for a
+/// single probe. Output order within a batch is grouped by key rather
+/// than delta order — invisible at the fixpoint, where sinks and
 /// downstream state are multisets.
 pub struct HashJoin {
-    left: Side,
-    right: Side,
+    left: ArrangementHandle,
+    right: ArrangementHandle,
+    /// Copies of the arrangements' key columns, so hashing a delta's
+    /// key needs no `RefCell` borrow.
+    left_key: Vec<usize>,
+    right_key: Vec<usize>,
     /// Fused output projection: columns of the virtual `left ++ right`
     /// concatenation. `None` emits the full concatenation.
     proj: Option<Vec<usize>>,
@@ -476,48 +489,24 @@ pub struct HashJoin {
     counters: OpCounters,
 }
 
-/// One port's state: a private index, or an attachment to a shared
-/// [`ArrangementHandle`] maintained by an upstream [`Arrange`] node.
-/// A shared port's deltas arrive *already applied* to the index (the
-/// `Arrange` applies, then fans out synchronously), so the join only
-/// probes; its epoch and checkpoint lifecycles likewise belong to the
-/// owning `Arrange`, never to the attached joins.
-enum Side {
-    Owned(IndexedMultiset),
-    Shared {
-        handle: ArrangementHandle,
-        /// Copy of the arrangement's key columns, so hashing a delta's
-        /// key needs no `RefCell` borrow.
-        key_cols: Vec<usize>,
-    },
-}
-
-impl Side {
-    fn key_cols(&self) -> &[usize] {
-        match self {
-            Side::Owned(m) => m.key_cols(),
-            Side::Shared { key_cols, .. } => key_cols,
-        }
-    }
-
-    fn total_tuples(&self) -> usize {
-        match self {
-            Side::Owned(m) => m.total_tuples(),
-            Side::Shared { handle, .. } => handle.read().total_tuples(),
-        }
-    }
-}
-
 impl HashJoin {
-    pub fn new(left_key: Vec<usize>, right_key: Vec<usize>) -> HashJoin {
-        assert_eq!(
-            left_key.len(),
-            right_key.len(),
-            "join key arity must match"
+    /// A join probing `left` on port 0 and `right` on port 1, keyed on
+    /// the arrangements' key columns. The two handles must not alias
+    /// one index: the bilinear form would double-count `ΔL ⋈ ΔR` (a
+    /// self-join arranges its relation twice).
+    pub fn new(left: ArrangementHandle, right: ArrangementHandle) -> HashJoin {
+        let (left_key, right_key) = (left.key_cols(), right.key_cols());
+        assert_eq!(left_key.len(), right_key.len(), "join key arity must match");
+        assert!(
+            !left.same_index(&right),
+            "one arrangement must not feed both ports of a join \
+             (the bilinear form would double-count Δ²)"
         );
         HashJoin {
-            left: Side::Owned(IndexedMultiset::new(left_key)),
-            right: Side::Owned(IndexedMultiset::new(right_key)),
+            left,
+            right,
+            left_key,
+            right_key,
             proj: None,
             by_key: Vec::new(),
             hits: Vec::new(),
@@ -530,51 +519,17 @@ impl HashJoin {
     /// the ubiquitous join-then-project pair fused into one operator
     /// and one tuple construction.
     pub fn with_projection(
-        left_key: Vec<usize>,
-        right_key: Vec<usize>,
+        left: ArrangementHandle,
+        right: ArrangementHandle,
         proj: Vec<usize>,
     ) -> HashJoin {
-        let mut j = HashJoin::new(left_key, right_key);
+        let mut j = HashJoin::new(left, right);
         j.proj = Some(proj);
         j
     }
 
-    /// Attaches the left port to a shared arrangement instead of a
-    /// private index. Port 0 must then be wired to the owning
-    /// [`Arrange`] node (the port's deltas must be exactly the
-    /// arrangement's maintenance stream). The arrangement's key must
-    /// equal the join's left key, and it must not also feed the right
-    /// port.
-    pub fn share_left(mut self, handle: ArrangementHandle) -> HashJoin {
-        self.left = Self::attach(handle, &self.left, &self.right);
-        self
-    }
-
-    /// [`HashJoin::share_left`], for the right port.
-    pub fn share_right(mut self, handle: ArrangementHandle) -> HashJoin {
-        self.right = Self::attach(handle, &self.right, &self.left);
-        self
-    }
-
-    fn attach(handle: ArrangementHandle, this: &Side, opposite: &Side) -> Side {
-        let key_cols = this.key_cols().to_vec();
-        assert_eq!(
-            handle.key_cols(),
-            key_cols,
-            "arrangement key must match the join port's key columns"
-        );
-        if let Side::Shared { handle: other, .. } = opposite {
-            assert!(
-                !handle.same_index(other),
-                "one arrangement must not feed both ports of a join \
-                 (the bilinear form would double-count Δ²)"
-            );
-        }
-        Side::Shared { handle, key_cols }
-    }
-
     pub fn state_size(&self) -> usize {
-        self.left.total_tuples() + self.right.total_tuples()
+        self.left.read().total_tuples() + self.right.read().total_tuples()
     }
 }
 
@@ -598,125 +553,12 @@ fn join_output(
     }
 }
 
-/// The batch-aware probe for one port: applies all deltas to `own`
-/// (hashing each key once), then probes `other` once per distinct key.
+/// The batch-aware probe for one port: the upstream [`Arrange`] has
+/// already applied the batch to the port's own index, so only the
+/// probes against `other` remain — once per distinct key. `own_key` is
+/// the port's key columns.
 #[allow(clippy::too_many_arguments)]
-fn probe_batch(
-    own: &mut IndexedMultiset,
-    other: &IndexedMultiset,
-    deltas: &[Delta],
-    out: &mut Vec<Delta>,
-    by_key: &mut Vec<(u64, u32)>,
-    hits: &mut Vec<(Tuple, i64)>,
-    counters: &mut OpCounters,
-    delta_is_left: bool,
-    proj: &Option<Vec<usize>>,
-) {
-    // Single-delta batches (all of per-delta mode, and most incremental
-    // trickles) skip the grouping machinery but still hash only once.
-    if let [delta] = deltas {
-        if delta.count == 0 {
-            return;
-        }
-        let h = own.key_hash(&delta.tuple);
-        own.apply_hashed(delta, h);
-        counters.join_probe_deltas += 1;
-        counters.join_probes += 1;
-        for (t, c) in other.matches_hashed(h, &delta.tuple, own.key_cols()) {
-            let count = delta.count * c;
-            if count != 0 {
-                out.push(Delta::with_count(join_output(&delta.tuple, t, delta_is_left, proj), count));
-            }
-        }
-        return;
-    }
-    by_key.clear();
-    for (i, delta) in deltas.iter().enumerate() {
-        if delta.count == 0 {
-            continue;
-        }
-        by_key.push((own.key_hash(&delta.tuple), i as u32));
-    }
-    counters.join_probe_deltas += by_key.len() as u64;
-    // Sort by (hash, arrival): repeated keys become contiguous runs and
-    // the iteration order stays deterministic.
-    by_key.sort_unstable();
-    let mut g = 0;
-    while g < by_key.len() {
-        let (h, first) = by_key[g];
-        let mut end = g + 1;
-        while end < by_key.len() && by_key[end].0 == h {
-            end += 1;
-        }
-        // One state-bucket update and one probe for the whole run.
-        // (Own-side application order across runs is immaterial: probes
-        // only consult the other side.)
-        own.apply_run_hashed(h, by_key[g..end].iter().map(|&(_, i)| &deltas[i as usize]));
-        let rep = &deltas[first as usize].tuple;
-        counters.join_probes += 1;
-        if end - g == 1 {
-            // Unrepeated key (the common case on ingest-heavy
-            // workloads): emit straight off the probe iterator, no
-            // match buffering.
-            let delta = &deltas[first as usize];
-            for (t, c) in other.matches_hashed(h, rep, own.key_cols()) {
-                let count = delta.count * c;
-                if count != 0 {
-                    out.push(Delta::with_count(
-                        join_output(&delta.tuple, t, delta_is_left, proj),
-                        count,
-                    ));
-                }
-            }
-            g = end;
-            continue;
-        }
-        hits.clear();
-        hits.extend(
-            other
-                .matches_hashed(h, rep, own.key_cols())
-                .map(|(t, c)| (t.clone(), c)),
-        );
-        if !hits.is_empty() {
-            out.reserve(hits.len() * (end - g));
-        }
-        for &(_, di) in &by_key[g..end] {
-            let delta = &deltas[di as usize];
-            // A same-hash delta with a *different* key (hash collision)
-            // cannot reuse the run's matches; probe it individually.
-            if di != first && !delta.tuple.cols_eq(own.key_cols(), rep, own.key_cols()) {
-                counters.join_probes += 1;
-                for (t, c) in other.matches_hashed(h, &delta.tuple, own.key_cols()) {
-                    let count = delta.count * c;
-                    if count != 0 {
-                        out.push(Delta::with_count(
-                            join_output(&delta.tuple, t, delta_is_left, proj),
-                            count,
-                        ));
-                    }
-                }
-                continue;
-            }
-            for (t, c) in hits.iter() {
-                let count = delta.count * c;
-                if count != 0 {
-                    out.push(Delta::with_count(
-                        join_output(&delta.tuple, t, delta_is_left, proj),
-                        count,
-                    ));
-                }
-            }
-        }
-        g = end;
-    }
-}
-
-/// The probe-only path for a *shared* port: the upstream [`Arrange`]
-/// has already applied the batch to the shared index, so only the
-/// probes against the other side remain. Same key-grouping as
-/// [`probe_batch`]; `own_key` is the shared side's key columns.
-#[allow(clippy::too_many_arguments)]
-fn probe_shared(
+fn probe(
     own_key: &[usize],
     other: &IndexedMultiset,
     deltas: &[Delta],
@@ -727,6 +569,8 @@ fn probe_shared(
     delta_is_left: bool,
     proj: &Option<Vec<usize>>,
 ) {
+    // Single-delta batches (all of per-delta mode, and most incremental
+    // trickles) skip the grouping machinery.
     if let [delta] = deltas {
         if delta.count == 0 {
             return;
@@ -750,6 +594,8 @@ fn probe_shared(
         by_key.push((delta.tuple.hash_cols(own_key), i as u32));
     }
     counters.join_probe_deltas += by_key.len() as u64;
+    // Sort by (hash, arrival): repeated keys become contiguous runs and
+    // the iteration order stays deterministic.
     by_key.sort_unstable();
     let mut g = 0;
     while g < by_key.len() {
@@ -758,9 +604,13 @@ fn probe_shared(
         while end < by_key.len() && by_key[end].0 == h {
             end += 1;
         }
+        // One probe for the whole run.
         let rep = &deltas[first as usize].tuple;
         counters.join_probes += 1;
         if end - g == 1 {
+            // Unrepeated key (the common case on ingest-heavy
+            // workloads): emit straight off the probe iterator, no
+            // match buffering.
             let delta = &deltas[first as usize];
             for (t, c) in other.matches_hashed(h, rep, own_key) {
                 let count = delta.count * c;
@@ -785,6 +635,8 @@ fn probe_shared(
         }
         for &(_, di) in &by_key[g..end] {
             let delta = &deltas[di as usize];
+            // A same-hash delta with a *different* key (hash collision)
+            // cannot reuse the run's matches; probe it individually.
             if di != first && !delta.tuple.cols_eq(own_key, rep, own_key) {
                 counters.join_probes += 1;
                 for (t, c) in other.matches_hashed(h, &delta.tuple, own_key) {
@@ -822,51 +674,33 @@ impl Operator for HashJoin {
         let HashJoin {
             left,
             right,
+            left_key,
+            right_key,
             proj,
             by_key,
             hits,
             counters,
         } = self;
-        let (own, other, delta_is_left) = match port {
-            0 => (left, &*right, true),
-            1 => (right, &*left, false),
+        let (own_key, other, delta_is_left) = match port {
+            0 => (&*left_key, &*right, true),
+            1 => (&*right_key, &*left, false),
             p => panic!("join has 2 ports, got {p}"),
         };
-        // A shared other side is borrowed for the whole batch — the
-        // owning Arrange's mutable borrow ended before its output
-        // fanned out here, so the read borrow cannot conflict.
-        let guard;
-        let other_index: &IndexedMultiset = match other {
-            Side::Owned(m) => m,
-            Side::Shared { handle, .. } => {
-                guard = handle.read();
-                &guard
-            }
-        };
-        match own {
-            Side::Owned(m) => probe_batch(
-                m,
-                other_index,
-                deltas,
-                out,
-                by_key,
-                hits,
-                counters,
-                delta_is_left,
-                proj,
-            ),
-            Side::Shared { key_cols, .. } => probe_shared(
-                key_cols,
-                other_index,
-                deltas,
-                out,
-                by_key,
-                hits,
-                counters,
-                delta_is_left,
-                proj,
-            ),
-        }
+        // The other side is borrowed for the whole batch — the owning
+        // Arrange's mutable borrow ended before its output fanned out
+        // here, so the read borrow cannot conflict.
+        let other = other.read();
+        probe(
+            own_key,
+            &other,
+            deltas,
+            out,
+            by_key,
+            hits,
+            counters,
+            delta_is_left,
+            proj,
+        );
         Ok(())
     }
 
@@ -874,64 +708,8 @@ impl Operator for HashJoin {
         2
     }
 
-    // Epoch hooks touch only the owned sides: a shared index is
-    // journaled, committed and rolled back exactly once, by its owning
-    // `Arrange` node.
-    fn begin_epoch(&mut self) {
-        if let Side::Owned(m) = &mut self.left {
-            m.begin_epoch();
-        }
-        if let Side::Owned(m) = &mut self.right {
-            m.begin_epoch();
-        }
-    }
-
-    fn commit_epoch(&mut self) {
-        if let Side::Owned(m) = &mut self.left {
-            m.commit_epoch();
-        }
-        if let Side::Owned(m) = &mut self.right {
-            m.commit_epoch();
-        }
-    }
-
-    fn rollback_epoch(&mut self) {
-        if let Side::Owned(m) = &mut self.left {
-            m.rollback_epoch();
-        }
-        if let Side::Owned(m) = &mut self.right {
-            m.rollback_epoch();
-        }
-    }
-
     fn take_counters(&mut self) -> OpCounters {
         std::mem::take(&mut self.counters)
-    }
-
-    // Checkpoints carry only the owned sides (in port order); a shared
-    // index is serialized once, by its owning `Arrange`. Sharing is
-    // structural — the restore target was built with the same `Side`
-    // layout — so the payloads line up without tagging.
-    fn checkpoint_state(&self, out: &mut crate::checkpoint::Enc) {
-        if let Side::Owned(m) = &self.left {
-            crate::checkpoint::encode_indexed(out, m);
-        }
-        if let Side::Owned(m) = &self.right {
-            crate::checkpoint::encode_indexed(out, m);
-        }
-    }
-
-    fn restore_state(
-        &mut self,
-        input: &mut crate::checkpoint::Dec<'_>,
-    ) -> Result<(), DataflowError> {
-        if let Side::Owned(m) = &mut self.left {
-            crate::checkpoint::decode_indexed(input, m)?;
-        }
-        if let Side::Owned(m) = &mut self.right {
-            crate::checkpoint::decode_indexed(input, m)?;
-        }
-        Ok(())
     }
 
     fn name(&self) -> &str {
@@ -939,14 +717,14 @@ impl Operator for HashJoin {
     }
 }
 
-/// Maintains a shared [`ArrangementHandle`] — differential dataflow's
-/// *arrange* operator. Applies each batch to the shared index exactly
-/// once, then forwards the deltas verbatim; downstream [`HashJoin`]s
-/// attached via `share_left`/`share_right` probe the index without
-/// re-applying. Requires [`Operator::sync_fanout`] scheduling: the
-/// apply above and every attached probe happen atomically within one
-/// dispatch, so no other batch can interleave between the index update
-/// and the probes it pairs with.
+/// Maintains an [`ArrangementHandle`] — differential dataflow's
+/// *arrange* operator, and the only place join state lives. Applies
+/// each batch to the index exactly once, then forwards the deltas
+/// verbatim; downstream [`HashJoin`]s built on the handle probe the
+/// index without re-applying. Requires [`Operator::sync_fanout`]
+/// scheduling: the apply above and every reader's probe happen
+/// atomically within one dispatch, so no other batch can interleave
+/// between the index update and the probes it pairs with.
 pub struct Arrange {
     handle: ArrangementHandle,
 }
@@ -958,7 +736,7 @@ impl Arrange {
         }
     }
 
-    /// The shared handle, for attaching joins.
+    /// The handle a [`HashJoin`] side probes.
     pub fn handle(&self) -> ArrangementHandle {
         self.handle.clone()
     }
@@ -1388,6 +1166,58 @@ mod tests {
         out
     }
 
+    /// A join with the two `Arrange` nodes that own its sides, driven
+    /// the way the scheduler drives them: a batch on port `p` is
+    /// applied by arrangement `p`, then probed.
+    struct Joined {
+        arr: [Arrange; 2],
+        join: HashJoin,
+    }
+
+    /// Both sides keyed on column 0.
+    fn joined(proj: Option<Vec<usize>>) -> Joined {
+        let arr = [Arrange::new(vec![0]), Arrange::new(vec![0])];
+        let (l, r) = (arr[0].handle(), arr[1].handle());
+        let join = match proj {
+            Some(p) => HashJoin::with_projection(l, r, p),
+            None => HashJoin::new(l, r),
+        };
+        Joined { arr, join }
+    }
+
+    impl Operator for Joined {
+        fn on_batch(
+            &mut self,
+            port: usize,
+            deltas: &[Delta],
+            out: &mut Vec<Delta>,
+        ) -> Result<(), DataflowError> {
+            let mut applied = Vec::new();
+            self.arr[port].on_batch(0, deltas, &mut applied)?;
+            self.join.on_batch(port, &applied, out)
+        }
+
+        fn arity(&self) -> usize {
+            2
+        }
+
+        fn begin_epoch(&mut self) {
+            self.arr.iter_mut().for_each(|a| a.begin_epoch());
+        }
+
+        fn rollback_epoch(&mut self) {
+            self.arr.iter_mut().for_each(|a| a.rollback_epoch());
+        }
+
+        fn take_counters(&mut self) -> OpCounters {
+            self.join.take_counters()
+        }
+
+        fn name(&self) -> &str {
+            "joined"
+        }
+    }
+
     #[test]
     fn map_projects_and_preserves_counts() {
         let mut m = Map::project(vec![1]);
@@ -1404,7 +1234,7 @@ mod tests {
 
     #[test]
     fn join_emits_matches_both_directions() {
-        let mut j = HashJoin::new(vec![0], vec![0]);
+        let mut j = joined(None);
         assert!(run(&mut j, 0, Delta::insert(ints(&[1, 10]))).is_empty());
         let out = run(&mut j, 1, Delta::insert(ints(&[1, 20])));
         assert_eq!(out, vec![Delta::insert(ints(&[1, 10, 1, 20]))]);
@@ -1419,7 +1249,7 @@ mod tests {
 
     #[test]
     fn join_multiplicities_multiply() {
-        let mut j = HashJoin::new(vec![0], vec![0]);
+        let mut j = joined(None);
         run(&mut j, 0, Delta::with_count(ints(&[1, 10]), 2));
         let out = run(&mut j, 1, Delta::with_count(ints(&[1, 20]), 3));
         assert_eq!(out[0].count, 6);
@@ -1427,7 +1257,7 @@ mod tests {
 
     #[test]
     fn join_batch_probes_constant_other_side() {
-        let mut j = HashJoin::new(vec![0], vec![0]);
+        let mut j = joined(None);
         run(&mut j, 1, Delta::insert(ints(&[1, 20])));
         // Two left deltas in one batch each join the same right state.
         let out = run_batch(
@@ -1446,11 +1276,15 @@ mod tests {
 
     #[test]
     fn join_skips_zero_count_deltas() {
-        let mut j = HashJoin::new(vec![0], vec![0]);
+        let mut j = joined(None);
         run(&mut j, 1, Delta::insert(ints(&[1, 20])));
         let out = run(&mut j, 0, Delta::with_count(ints(&[1, 10]), 0));
         assert!(out.is_empty());
-        assert_eq!(j.state_size(), 1); // the zero delta was not applied
+        // The zero delta was not applied, and the probe alone skips it
+        // too.
+        assert_eq!(j.join.state_size(), 1);
+        let out = run(&mut j.join, 0, Delta::with_count(ints(&[1, 10]), 0));
+        assert!(out.is_empty());
     }
 
     #[test]
@@ -1572,7 +1406,7 @@ mod tests {
     #[test]
     fn join_with_projection_builds_outputs_directly() {
         // Project (l.payload, r.payload) out of the virtual concat.
-        let mut j = HashJoin::with_projection(vec![0], vec![0], vec![1, 3]);
+        let mut j = joined(Some(vec![1, 3]));
         run(&mut j, 0, Delta::insert(ints(&[1, 10])));
         let out = run(&mut j, 1, Delta::insert(ints(&[1, 20])));
         assert_eq!(out, vec![Delta::insert(ints(&[10, 20]))]);
@@ -1587,7 +1421,7 @@ mod tests {
 
     #[test]
     fn join_counters_report_shared_probes() {
-        let mut j = HashJoin::new(vec![0], vec![0]);
+        let mut j = joined(None);
         run(&mut j, 1, Delta::insert(ints(&[1, 20])));
         // Five same-key deltas in one batch: one shared probe.
         let batch: Vec<Delta> = (0..5).map(|v| Delta::insert(ints(&[1, v]))).collect();
@@ -1602,7 +1436,7 @@ mod tests {
 
     #[test]
     fn grouped_probe_handles_mixed_keys_and_update_pairs() {
-        let mut j = HashJoin::new(vec![0], vec![0]);
+        let mut j = joined(None);
         run_batch(
             &mut j,
             1,
@@ -1711,14 +1545,16 @@ mod tests {
 
     #[test]
     fn join_rollback_restores_both_sides() {
-        let mut j = HashJoin::new(vec![0], vec![0]);
+        // The join's state lives in its two arrangements; rolling them
+        // back restores what the join probes.
+        let mut j = joined(None);
         run(&mut j, 0, Delta::insert(ints(&[1, 10])));
         run(&mut j, 1, Delta::insert(ints(&[1, 20])));
         j.begin_epoch();
         run(&mut j, 0, Delta::delete(ints(&[1, 10])));
         run(&mut j, 1, Delta::insert(ints(&[2, 30])));
         j.rollback_epoch();
-        assert_eq!(j.state_size(), 2);
+        assert_eq!(j.join.state_size(), 2);
         // The state behaves exactly as before the aborted epoch.
         let out = run(&mut j, 0, Delta::insert(ints(&[1, 11])));
         assert_eq!(out, vec![Delta::insert(ints(&[1, 11, 1, 20]))]);

@@ -295,31 +295,15 @@ impl IndexedMultiset {
         &self.key_cols
     }
 
-    /// The index hash of `t`'s key columns — computed once per delta by
-    /// the batch-aware join and shared between [`apply_hashed`] and
-    /// [`matches_hashed`].
-    ///
-    /// [`apply_hashed`]: IndexedMultiset::apply_hashed
-    /// [`matches_hashed`]: IndexedMultiset::matches_hashed
-    #[inline]
-    pub fn key_hash(&self, t: &Tuple) -> u64 {
-        t.hash_cols(&self.key_cols)
-    }
-
     /// Applies a delta to the indexed state.
     pub fn apply(&mut self, delta: &Delta) {
-        self.apply_hashed(delta, delta.tuple.hash_cols(&self.key_cols));
-    }
-
-    /// [`IndexedMultiset::apply`] with the key hash already computed
-    /// (must equal `self.key_hash(&delta.tuple)`).
-    pub fn apply_hashed(&mut self, delta: &Delta, h: u64) {
+        let h = delta.tuple.hash_cols(&self.key_cols);
         self.apply_run_hashed(h, std::iter::once(delta));
     }
 
-    /// Applies a run of deltas sharing one key hash — one bucket lookup
-    /// for the whole run (batch-aware joins feed each sorted same-key
-    /// run here; update pairs touch their bucket once).
+    /// Applies a run of deltas whose key columns hash to `h` — one
+    /// bucket lookup for the whole run (update pairs touch their bucket
+    /// once).
     pub fn apply_run_hashed<'a>(
         &mut self,
         h: u64,
@@ -539,16 +523,16 @@ impl IndexedMultiset {
     }
 }
 
-/// A shared, keyed index over one relation — differential dataflow's
-/// *arrangement*. The index is maintained exactly once per epoch by a
-/// single [`crate::ops::Arrange`] operator (the sole writer) and probed
-/// read-only by every [`crate::ops::HashJoin`] attached to it via
-/// `share_left`/`share_right`, replacing the per-join [`IndexedMultiset`]
-/// copies that would otherwise each re-apply the same deltas.
+/// A keyed index over one relation — differential dataflow's
+/// *arrangement*, and the only form join state takes. The index is
+/// maintained exactly once per epoch by a single
+/// [`crate::ops::Arrange`] operator (the sole writer) and probed
+/// read-only by every [`crate::ops::HashJoin`] built on the handle; an
+/// arrangement read by one join is simply one with a single reader.
 ///
-/// Epoch journaling, checkpointing and restore of the shared index are
-/// the owning `Arrange`'s responsibility; attached joins treat the
-/// handle as immutable state and never open a mutable borrow.
+/// Epoch journaling, checkpointing and restore of the index are the
+/// owning `Arrange`'s responsibility; joins treat the handle as
+/// immutable state and never open a mutable borrow.
 #[derive(Clone, Debug)]
 pub struct ArrangementHandle {
     inner: Rc<RefCell<IndexedMultiset>>,
@@ -580,8 +564,8 @@ impl ArrangementHandle {
     }
 
     /// True if both handles alias the *same* index. A join must never
-    /// attach one arrangement to both of its ports (the bilinear form
-    /// would double-count Δ²); builders use this to detect that.
+    /// probe one arrangement on both of its ports (the bilinear form
+    /// would double-count Δ²); `HashJoin::new` uses this to reject it.
     pub fn same_index(&self, other: &ArrangementHandle) -> bool {
         Rc::ptr_eq(&self.inner, &other.inner)
     }
@@ -787,7 +771,7 @@ mod tests {
         // leaves exactly the new tuple.
         let mut m = IndexedMultiset::new(vec![0]);
         m.apply(&Delta::insert(ints(&[5, 1])));
-        let h = m.key_hash(&ints(&[5, 2]));
+        let h = ints(&[5, 2]).hash_cols(&[0]);
         let run = [Delta::delete(ints(&[5, 1])), Delta::insert(ints(&[5, 2]))];
         m.apply_run_hashed(h, run.iter());
         assert_eq!(m.total_tuples(), 1);

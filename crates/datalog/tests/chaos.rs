@@ -61,7 +61,6 @@ proptest! {
         run_every in 1usize..6,
         fault_step in 1u64..40,
         starve in any::<bool>(),
-        sharing in any::<bool>(),
     ) {
         let matrix = [
             (SchedulerMode::Batched, false),
@@ -69,8 +68,8 @@ proptest! {
             (SchedulerMode::PerDelta, false),
         ];
         for &(mode, fusion) in &matrix {
-            let (mut oracle, o_in, o_sinks) = build(&gen, mode, fusion, sharing);
-            let (mut victim, v_in, v_sinks) = build(&gen, mode, fusion, sharing);
+            let (mut oracle, o_in, o_sinks) = build(&gen, mode, fusion);
+            let (mut victim, v_in, v_sinks) = build(&gen, mode, fusion);
             let budget = victim.max_steps();
             let arm = if starve {
                 victim.set_max_steps(fault_step);

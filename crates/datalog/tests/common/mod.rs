@@ -1,16 +1,17 @@
 //! Shared generators for the differential and chaos harnesses: random
 //! operator networks over all operator kinds, instantiated under any
-//! scheduler/fusion mode, plus set-like input event streams.
+//! scheduler/fusion mode, a from-scratch evaluator that computes what
+//! their sinks must hold, plus set-like input event streams.
 #![allow(dead_code)]
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 
 use proptest::prelude::*;
 
 use reopt_datalog::value::{Tuple, Val};
 use reopt_datalog::{
-    AggKind, Arrange, ArrangementHandle, Dataflow, Distinct, GroupAgg, HashJoin, Map, NodeId,
-    SchedulerMode, SinkId, Union,
+    AggKind, ArrangementHandle, Dataflow, Distinct, GroupAgg, HashJoin, Map, NodeId, SchedulerMode,
+    SinkId, Union,
 };
 
 /// One randomly generated operator stage. Input indices select from the
@@ -64,17 +65,15 @@ pub fn net_gen(max_stages: usize) -> impl Strategy<Value = NetGen> {
     })
 }
 
-/// Instantiates the described network under one scheduler/fusion/
-/// arrangement-sharing mode. With `sharing` on, every join input gets
-/// an [`Arrange`] node (keyed on column 0, deduplicated per source
-/// node) and the join attaches the shared index instead of building an
-/// owned copy — except a self-join's right side, which stays owned (the
-/// same arrangement must never feed both ports of one join).
+/// Instantiates the described network under one scheduler/fusion
+/// mode. Every join input gets an `Arrange` node keyed on column 0,
+/// deduplicated per source node, except a self-join's right side,
+/// which is arranged a second time (one arrangement must never feed
+/// both ports of a join).
 pub fn build(
     gen: &NetGen,
     mode: SchedulerMode,
     fusion: bool,
-    sharing: bool,
 ) -> (Dataflow, [NodeId; 2], Vec<SinkId>) {
     let mut df = Dataflow::with_mode(mode);
     df.set_fusion(fusion);
@@ -107,34 +106,20 @@ pub fn build(
                 let (l, r) = (pick(*a), pick(*b));
                 // Key on column 0; project the virtual concat back to a
                 // binary tuple (left payload, right payload).
-                let join = HashJoin::with_projection(vec![0], vec![0], vec![1, 3]);
-                if sharing {
-                    let (l_node, l_handle) = arrangements
-                        .entry(l)
-                        .or_insert_with(|| {
-                            let op = Arrange::new(vec![0]);
-                            let h = op.handle();
-                            (df.add_op(op, &[l]), h)
-                        })
-                        .clone();
-                    let join = join.share_left(l_handle);
-                    let (join, r_node) = if r == l {
-                        (join, r)
-                    } else {
-                        let (r_node, r_handle) = arrangements
-                            .entry(r)
-                            .or_insert_with(|| {
-                                let op = Arrange::new(vec![0]);
-                                let h = op.handle();
-                                (df.add_op(op, &[r]), h)
-                            })
-                            .clone();
-                        (join.share_right(r_handle), r_node)
-                    };
-                    df.add_op(join, &[l_node, r_node])
+                let (l_node, l_handle) = arrangements
+                    .entry(l)
+                    .or_insert_with(|| df.add_arrange(l, vec![0]))
+                    .clone();
+                let (r_node, r_handle) = if r == l {
+                    df.add_arrange(r, vec![0])
                 } else {
-                    df.add_op(join, &[l, r])
-                }
+                    arrangements
+                        .entry(r)
+                        .or_insert_with(|| df.add_arrange(r, vec![0]))
+                        .clone()
+                };
+                let join = HashJoin::with_projection(l_handle, r_handle, vec![1, 3]);
+                df.add_op(join, &[l_node, r_node])
             }
             StageGen::Union(a, b) => df.add_op(Union::new(2), &[pick(*a), pick(*b)]),
             StageGen::Distinct(a) => df.add_op(Distinct::new(), &[pick(*a)]),
@@ -154,6 +139,103 @@ pub fn build(
         pool.push(node);
     }
     (df, inputs, sinks)
+}
+
+/// A bag of binary tuples: tuple → count.
+type Bag = BTreeMap<(i64, i64), i64>;
+
+/// Evaluates `gen` from scratch over the final input sets `inputs[0]`
+/// (`r`) and `inputs[1]` (`s`) — the semantic reference every scheduler
+/// mode must reach at its fixpoint. Bag semantics: maps and filters
+/// keep counts, a join multiplies them (projecting `[1,3]`), a union
+/// adds them, `Distinct` keeps each positive tuple once, and the
+/// aggregate emits `(key, aggregate)` once per non-empty group (the
+/// documented `GroupAgg` semantics). Returns the counted, sorted
+/// contents of every sink, in [`build`]'s sink order.
+pub fn naive(gen: &NetGen, inputs: &[Vec<(i64, i64)>; 2]) -> Vec<Vec<(Tuple, i64)>> {
+    let map = |bag: &Bag, f: &dyn Fn(i64, i64) -> Option<(i64, i64)>| {
+        let mut out = Bag::new();
+        for (&(a, b), &c) in bag {
+            if let Some(t) = f(a, b) {
+                *out.entry(t).or_default() += c;
+            }
+        }
+        out
+    };
+    let mut pool: Vec<Bag> = inputs
+        .iter()
+        .map(|rows| rows.iter().map(|&row| (row, 1)).collect())
+        .collect();
+    let mut sinks = Vec::new();
+    let last = gen.stages.len() - 1;
+    for (i, stage) in gen.stages.iter().enumerate() {
+        let pick = |sel: u8| &pool[sel as usize % pool.len()];
+        let mut bag = match stage {
+            StageGen::Swap(a) => map(pick(*a), &|x, y| Some((y, x))),
+            StageGen::Filter(a, parity) => {
+                let want = i64::from(*parity);
+                map(pick(*a), &|x, y| {
+                    (x.rem_euclid(2) == want).then_some((x, y))
+                })
+            }
+            StageGen::Shift(a, k) => map(pick(*a), &|x, y| Some((x, y + *k as i64))),
+            StageGen::Join(a, b) => {
+                let mut out = Bag::new();
+                for (&(lk, lv), &lc) in pick(*a) {
+                    for (&(rk, rv), &rc) in pick(*b) {
+                        if lk == rk {
+                            *out.entry((lv, rv)).or_default() += lc * rc;
+                        }
+                    }
+                }
+                out
+            }
+            StageGen::Union(a, b) => {
+                let mut out = pick(*a).clone();
+                for (&t, &c) in pick(*b) {
+                    *out.entry(t).or_default() += c;
+                }
+                out
+            }
+            StageGen::Distinct(a) => pick(*a)
+                .iter()
+                .filter(|(_, &c)| c > 0)
+                .map(|(&t, _)| (t, 1))
+                .collect(),
+            StageGen::Agg(a, kind) => {
+                let mut groups: BTreeMap<i64, Vec<(i64, i64)>> = BTreeMap::new();
+                for (&(k, v), &c) in pick(*a) {
+                    if c > 0 {
+                        groups.entry(k).or_default().push((v, c));
+                    }
+                }
+                groups
+                    .into_iter()
+                    .map(|(k, vals)| {
+                        let agg = match kind % 4 {
+                            0 => vals.iter().map(|&(v, _)| v).min().unwrap(),
+                            1 => vals.iter().map(|&(v, _)| v).max().unwrap(),
+                            2 => vals.iter().map(|&(v, c)| v * c).sum(),
+                            _ => vals.iter().map(|&(_, c)| c).sum(),
+                        };
+                        ((k, agg), 1)
+                    })
+                    .collect()
+            }
+        };
+        bag.retain(|_, c| *c != 0);
+        if gen.sink_flags[i] || i == last {
+            let mut rows: Vec<(Tuple, i64)> = bag
+                .iter()
+                .filter(|(_, &c)| c > 0)
+                .map(|(&(a, b), &c)| (Tuple::new(vec![Val::Int(a), Val::Int(b)]), c))
+                .collect();
+            rows.sort();
+            sinks.push(rows);
+        }
+        pool.push(bag);
+    }
+    sinks
 }
 
 /// Sink contents with multiplicities, sorted — the observational state

@@ -13,7 +13,7 @@
 
 use proptest::prelude::*;
 
-use reopt_datalog::checkpoint::write_atomic;
+use reopt_datalog::checkpoint::{self, write_atomic};
 use reopt_datalog::value::{ints, tup, Tuple, Val};
 use reopt_datalog::{
     AggKind, Dataflow, DataflowError, Distinct, GroupAgg, NodeId, SchedulerMode, SinkId,
@@ -92,25 +92,24 @@ proptest! {
         evts in events(24),
         run_every in 1usize..6,
         split_sel in any::<u16>(),
-        sharing in any::<bool>(),
     ) {
         let ops = effective_ops(&evts);
         let split = split_sel as usize % (ops.len() + 1);
         for (mode, fusion) in MATRIX {
             // Uninterrupted oracle.
-            let (mut oracle, o_in, o_sinks) = build(&gen, mode, fusion, sharing);
+            let (mut oracle, o_in, o_sinks) = build(&gen, mode, fusion);
             drive(&mut oracle, &o_in, &ops, 0..ops.len(), run_every);
             oracle.run().unwrap();
 
             // Victim: runs to `split`, checkpoints, dies.
-            let (mut victim, v_in, _) = build(&gen, mode, fusion, sharing);
+            let (mut victim, v_in, _) = build(&gen, mode, fusion);
             drive(&mut victim, &v_in, &ops, 0..split, run_every);
             let bytes = victim.checkpoint();
             let epoch_at_crash = victim.epoch();
             drop(victim);
 
             // Survivor: fresh graph, restore, replay the tail.
-            let (mut survivor, s_in, s_sinks) = build(&gen, mode, fusion, sharing);
+            let (mut survivor, s_in, s_sinks) = build(&gen, mode, fusion);
             let restored_epoch = survivor.restore(&bytes).unwrap();
             prop_assert_eq!(restored_epoch, epoch_at_crash);
             drive(&mut survivor, &s_in, &ops, split..ops.len(), run_every);
@@ -144,15 +143,14 @@ proptest! {
         evts in events(16),
         byte_sel in any::<u32>(),
         bit in 0u8..8,
-        sharing in any::<bool>(),
     ) {
         let ops = effective_ops(&evts);
-        let (mut df, inputs, _) = build(&gen, SchedulerMode::Batched, true, sharing);
+        let (mut df, inputs, _) = build(&gen, SchedulerMode::Batched, true);
         drive(&mut df, &inputs, &ops, 0..ops.len(), 1);
         let mut bytes = df.checkpoint();
         let at = byte_sel as usize % bytes.len();
         bytes[at] ^= 1 << bit;
-        let (mut fresh, _, _) = build(&gen, SchedulerMode::Batched, true, sharing);
+        let (mut fresh, _, _) = build(&gen, SchedulerMode::Batched, true);
         prop_assert!(
             matches!(fresh.restore(&bytes), Err(DataflowError::StateCorruption(_))),
             "flip of bit {} at byte {}/{} slipped through", bit, at, bytes.len()
@@ -226,6 +224,23 @@ fn every_truncation_of_a_checkpoint_is_detected() {
             "truncation at {cut}/{} restored successfully",
             bytes.len()
         );
+    }
+}
+
+/// An image in the previous format version (1: join state in `HashJoin`
+/// payloads, before it moved into `Arrange` payloads) is rejected by its
+/// version word as `StateCorruption`, never parsed.
+#[test]
+fn a_version_1_image_is_rejected_as_corruption() {
+    let (mut df, input, _, _) = sym_net(SchedulerMode::Batched);
+    warm_sym_net(&mut df, input);
+    let mut bytes = df.checkpoint();
+    assert_eq!(bytes[4..8], checkpoint::VERSION.to_le_bytes());
+    bytes[4..8].copy_from_slice(&1u32.to_le_bytes());
+    let (mut fresh, _, _, _) = sym_net(SchedulerMode::Batched);
+    match fresh.restore(&bytes) {
+        Err(DataflowError::StateCorruption(m)) => assert!(m.contains("version 1"), "{m}"),
+        other => panic!("a v1 image must be rejected as corruption: {other:?}"),
     }
 }
 

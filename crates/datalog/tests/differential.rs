@@ -1,15 +1,15 @@
 //! Differential harness for the scheduler-mode matrix: random operator
-//! networks (joins, maps, unions, distinct, grouped aggregation) are
-//! executed under all of {`Batched`, `Batched`+fusion, `PerDelta`},
-//! each with and without shared arrangements, and must produce
-//! identical sink multisets — counts included — with zero residual
+//! networks (joins over arrangements, maps, unions, distinct, grouped
+//! aggregation) are executed under all of {`Batched`,
+//! `Batched`+fusion, `PerDelta`}, and every mode's sink multisets —
+//! counts included — must equal a from-scratch evaluation of the same
+//! network over the final inputs (`common::naive`), with zero residual
 //! negative counts at every fixpoint.
 //!
 //! This pins the tentpole invariant of the batched/fused substrate: the
-//! scheduler's service order, batch grouping, probe sharing, shared
+//! scheduler's service order, batch grouping, probe sharing,
 //! arrangements, chain fusion and coalescing are *performance* choices;
-//! the per-delta FIFO execution with owned per-join indexes remains the
-//! semantic reference.
+//! the from-scratch evaluator is the semantic reference.
 
 use proptest::prelude::*;
 
@@ -17,15 +17,16 @@ use reopt_datalog::value::{ints, Tuple, Val};
 use reopt_datalog::{Dataflow, Distinct, HashJoin, Map, NodeId, SchedulerMode, SinkId, Union};
 
 mod common;
-use common::{build, events, net_gen, sink_counted};
+use common::{build, events, naive, net_gen, sink_counted};
 
 proptest! {
     #![proptest_config(ProptestConfig { cases: 256, ..ProptestConfig::default() })]
 
     /// The full matrix: {Batched, Batched+fusion, PerDelta} on random
-    /// DAGs of all operator kinds agree on every materialized sink and
-    /// leave no residual negative counts, under random set-like
-    /// insert/delete streams with interleaved fixpoints.
+    /// DAGs of all operator kinds match the from-scratch evaluator on
+    /// every materialized sink and leave no residual negative counts,
+    /// under random set-like insert/delete streams with interleaved
+    /// fixpoints.
     #[test]
     fn scheduler_modes_agree_on_random_networks(
         gen in net_gen(5),
@@ -33,18 +34,12 @@ proptest! {
         run_every in 1usize..6,
     ) {
         let matrix = [
-            (SchedulerMode::Batched, false, false),
-            (SchedulerMode::Batched, true, false),
-            (SchedulerMode::PerDelta, false, false),
-            // Arrangement-sharing variants: every join probes shared
-            // indexes maintained once per source; must be
-            // observationally identical to per-join owned indexes.
-            (SchedulerMode::Batched, false, true),
-            (SchedulerMode::Batched, true, true),
-            (SchedulerMode::PerDelta, false, true),
+            (SchedulerMode::Batched, false),
+            (SchedulerMode::Batched, true),
+            (SchedulerMode::PerDelta, false),
         ];
         let mut nets: Vec<(Dataflow, [NodeId; 2], Vec<SinkId>)> =
-            matrix.iter().map(|&(m, f, s)| build(&gen, m, f, s)).collect();
+            matrix.iter().map(|&(m, f)| build(&gen, m, f)).collect();
         // Set-like inputs (delete only present tuples) keep every
         // operator's fixpoint state non-negative.
         let mut live: [Vec<(i64, i64)>; 2] = [Vec::new(), Vec::new()];
@@ -78,17 +73,15 @@ proptest! {
         for (df, _, _) in nets.iter_mut() {
             df.run().unwrap();
         }
-        let (reference, rest) = nets.split_first().unwrap();
-        for (i, (df, _, sinks)) in rest.iter().enumerate() {
-            for (s_ref, s) in reference.2.iter().zip(sinks) {
-                prop_assert!(
-                    !df.sink(*s).has_negative_counts(),
-                    "negative counts in {:?}", matrix[i + 1]
-                );
+        let want = naive(&gen, &live);
+        for (what, (df, _, sinks)) in matrix.iter().zip(&nets) {
+            prop_assert_eq!(sinks.len(), want.len());
+            for (s, expected) in sinks.iter().zip(&want) {
+                prop_assert!(!df.sink(*s).has_negative_counts(), "negative counts in {:?}", what);
                 prop_assert_eq!(
-                    sink_counted(&reference.0, *s_ref),
-                    sink_counted(df, *s),
-                    "sink mismatch: {:?} vs {:?}", matrix[0], matrix[i + 1]
+                    &sink_counted(df, *s),
+                    expected,
+                    "{:?} diverged from the from-scratch evaluation", what
                 );
             }
         }
@@ -99,22 +92,19 @@ proptest! {
     /// shared arrangement, or chained into a stateless consumer — is
     /// charged to its target node as well as to the run, so on clean
     /// runs the lifetime `node_stats()` sums equal the summed
-    /// `RunStats`, in every scheduler mode, with and without sharing.
+    /// `RunStats`, in every scheduler mode.
     #[test]
     fn node_counters_reconcile_with_run_totals(
         gen in net_gen(5),
         evts in events(24),
         run_every in 1usize..6,
     ) {
-        for (mode, fusion, sharing) in [
-            (SchedulerMode::Batched, false, false),
-            (SchedulerMode::Batched, true, false),
-            (SchedulerMode::PerDelta, false, false),
-            (SchedulerMode::Batched, false, true),
-            (SchedulerMode::Batched, true, true),
-            (SchedulerMode::PerDelta, false, true),
+        for (mode, fusion) in [
+            (SchedulerMode::Batched, false),
+            (SchedulerMode::Batched, true),
+            (SchedulerMode::PerDelta, false),
         ] {
-            let (mut df, inputs, _) = build(&gen, mode, fusion, sharing);
+            let (mut df, inputs, _) = build(&gen, mode, fusion);
             let (mut batches, mut deltas) = (0u64, 0u64);
             for (step, (which, key, val, insert)) in evts.iter().enumerate() {
                 let tup = ints(&[*key as i64, *val as i64]);
@@ -130,7 +120,7 @@ proptest! {
                 }
             }
             let nodes = df.node_stats();
-            let what = (mode, fusion, sharing);
+            let what = (mode, fusion);
             prop_assert_eq!(nodes.iter().map(|n| n.1).sum::<u64>(), batches, "batches {:?}", what);
             prop_assert_eq!(nodes.iter().map(|n| n.2).sum::<u64>(), deltas, "deltas {:?}", what);
         }
@@ -197,9 +187,9 @@ fn scheduler_modes_agree_on_recursive_closure() {
         let union = df.add_op_unwired(Union::new(2));
         df.connect(edge, union, 0);
         let path = df.add_op(Distinct::new(), &[union]);
-        let join = df.add_op_unwired(HashJoin::new(vec![1], vec![0]));
-        df.connect(path, join, 0);
-        df.connect(edge, join, 1);
+        let (pa, ph) = df.add_arrange(path, vec![1]);
+        let (ea, eh) = df.add_arrange(edge, vec![0]);
+        let join = df.add_op(HashJoin::new(ph, eh), &[pa, ea]);
         let proj = df.add_op(Map::project(vec![0, 3]), &[join]);
         df.connect(proj, union, 1);
         let sink = df.add_sink(path);

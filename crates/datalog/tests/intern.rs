@@ -93,7 +93,9 @@ fn interned_tuple_packing_round_trip() {
     let mut df = Dataflow::new();
     let l = df.add_input("l");
     let r = df.add_input("r");
-    let join = df.add_op(HashJoin::new(vec![0], vec![0]), &[l, r]);
+    let (la, lh) = df.add_arrange(l, vec![0]);
+    let (ra, rh) = df.add_arrange(r, vec![0]);
+    let join = df.add_op(HashJoin::new(lh, rh), &[la, ra]);
     let sink = df.add_sink(join);
     df.insert(l, wide.clone());
     df.insert(r, narrow.clone());

@@ -33,9 +33,9 @@ fn tc_network(mode: SchedulerMode) -> (Dataflow, NodeId, SinkId) {
     let union = df.add_op_unwired(Union::new(2));
     df.connect(edge, union, 0);
     let path = df.add_op(Distinct::new(), &[union]);
-    let join = df.add_op_unwired(HashJoin::new(vec![1], vec![0]));
-    df.connect(path, join, 0);
-    df.connect(edge, join, 1);
+    let (pa, ph) = df.add_arrange(path, vec![1]);
+    let (ea, eh) = df.add_arrange(edge, vec![0]);
+    let join = df.add_op(HashJoin::new(ph, eh), &[pa, ea]);
     let proj = df.add_op(Map::project(vec![0, 3]), &[join]);
     df.connect(proj, union, 1);
     let sink = df.add_sink(path);
@@ -72,7 +72,9 @@ proptest! {
         let mut df = Dataflow::new();
         let l = df.add_input("l");
         let r = df.add_input("r");
-        let j = df.add_op(HashJoin::new(vec![0], vec![0]), &[l, r]);
+        let (la, lh) = df.add_arrange(l, vec![0]);
+        let (ra, rh) = df.add_arrange(r, vec![0]);
+        let j = df.add_op(HashJoin::new(lh, rh), &[la, ra]);
         let sink = df.add_sink(j);
         type Tuples = Vec<(i64, i64)>;
         let (mut nl, mut nr): (Tuples, Tuples) = (vec![], vec![]);
@@ -239,9 +241,9 @@ proptest! {
         let union = df.add_op_unwired(Union::new(2));
         df.connect(edge, union, 0);
         let path = df.add_op(Distinct::new(), &[union]);
-        let join = df.add_op_unwired(HashJoin::new(vec![1], vec![0]));
-        df.connect(path, join, 0);
-        df.connect(edge, join, 1);
+        let (pa, ph) = df.add_arrange(path, vec![1]);
+        let (ea, eh) = df.add_arrange(edge, vec![0]);
+        let join = df.add_op(HashJoin::new(ph, eh), &[pa, ea]);
         let proj = df.add_op(Map::project(vec![0, 3]), &[join]);
         df.connect(proj, union, 1);
         let sink = df.add_sink(path);
